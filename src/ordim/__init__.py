@@ -12,19 +12,18 @@ from .errors import (AxiomViolation, BudgetExceeded, CountExceeded, CycleError,
                      OrdimError, ParamRange, TooManyExtensions)
 from .order import (Poset, WidthResult, count_linear_extensions, critical_pairs,
                     down_degree, downset_lattice, find_standard_example,
-                    hasse_covers, incomparable_pairs, is_reversible,
-                    linear_extensions, max_down_degree, max_up_degree,
-                    poset_from_relation, standard_example_number,
-                    strict_alternating_cycles, up_degree, width)
+                    incomparable_pairs, is_reversible, linear_extensions,
+                    max_down_degree, max_up_degree, poset_from_relation,
+                    standard_example_number, strict_alternating_cycles,
+                    up_degree, width)
 from .certificates import (BooleanRealizer, FractionalRealizer, LocalRealizer,
                            Realizer, verify_boolean_realizer,
                            verify_fractional_realizer, verify_local_realizer,
                            verify_realizer)
 from .geometry import (ConvexGeometry, ConvexRealizer, SetFamily,
                        check_boolean_property, critical_pair_of_meet_irreducible,
-                       geometry_critical_pairs, join_geometries,
-                       join_irreducibles, mask_to_set, maximal_chains,
-                       meet_irreducibles, set_to_mask, validate_convex_geometry,
+                       geometry_critical_pairs, join_geometries, mask_to_set,
+                       maximal_chains, set_to_mask, validate_convex_geometry,
                        vc_dimension_shattering, verify_convex_realizer)
 from .constructions import (boolean_algebra, enumerate_geometries, jkn,
                             linear_geometry, pkn, qn_pn, random_geometry)

@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("input")
     c.add_argument("--only", help="comma separated parameter list")
     c.add_argument("--budget", type=int)
-    c.add_argument("--jobs", type=int, default=1)
     c.add_argument("--out")
     c.set_defaults(func=_cmd_compute)
 

@@ -9,8 +9,8 @@ from typing import Iterator, Sequence
 
 from .errors import ParamRange
 from .geometry import (ConvexGeometry, SetFamily, linear_geometry_masks,
-                       validate_convex_geometry, _canonical)
-from .order import _popcount
+                       validate_convex_geometry, _canonical, _first_unextendable,
+                       _join_masks)
 
 
 def linear_geometry(perm: Sequence[int]) -> ConvexGeometry:
@@ -32,7 +32,7 @@ def boolean_algebra(n: int) -> ConvexGeometry:
 
 def pkn_member(mask: int, k: int) -> bool:
     """Membership rule: a set of size k+i-1 must contain the prefix {1..i-1}."""
-    s = _popcount(mask)
+    s = mask.bit_count()
     if s <= k:
         return True
     i = s - k + 1
@@ -141,15 +141,10 @@ def random_geometry(n: int, t: int, seed: int) -> ConvexGeometry:
     if n < 1 or t < 1:
         raise ParamRange("need n >= 1 and t >= 1")
     rng = random.Random(seed)
-    current = None
-    for _ in range(t):
-        perm = list(range(1, n + 1))
+    perms = [list(range(1, n + 1)) for _ in range(t)]
+    for perm in perms:
         rng.shuffle(perm)
-        masks = linear_geometry_masks(perm)
-        if current is None:
-            current = set(masks)
-        else:
-            current = {a & b for a in current for b in masks}
+    current = _join_masks(linear_geometry_masks(p) for p in perms)
     return validate_convex_geometry(SetFamily.from_masks(n, current))
 
 
@@ -166,17 +161,8 @@ def enumerate_geometries(n: int, allow_ground_5: bool = False) -> Iterator[Conve
         raise ParamRange("enumeration supports 1 <= n <= 4 "
                          "(n=5 with allow_ground_5=True)")
     full = (1 << n) - 1
-    key = lambda m: (_popcount(m), m)
+    key = lambda m: (m.bit_count(), m)
     results = []
-
-    def extension_holds(members: set) -> bool:
-        for a in members:
-            if a == full:
-                continue
-            if not any(not (a >> e) & 1 and (a | (1 << e)) in members
-                       for e in range(n)):
-                return False
-        return True
 
     def candidates(fam: list, members: set, last: int):
         seen = set()
@@ -189,7 +175,7 @@ def enumerate_geometries(n: int, allow_ground_5: bool = False) -> Iterator[Conve
                         yield b
 
     def rec(fam: list, members: set):
-        if full in members and extension_holds(members):
+        if full in members and _first_unextendable(members, members, n) is None:
             results.append(tuple(fam))
         last = fam[-1]
         for b in sorted(candidates(fam, members, last), key=key):

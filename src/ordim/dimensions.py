@@ -25,10 +25,10 @@ from .errors import (BudgetExceeded, InvalidRealizer, MaxTriesExceeded,
                      NotDistinguishing, ParamRange)
 from .geometry import (ConvexGeometry, ConvexRealizer, geometry_critical_pairs,
                        mask_to_set, verify_convex_realizer)
-from .order import (Poset, WidthResult, _bits, _popcount, critical_pairs,
-                    downset_lattice, extend_reversing, max_down_degree,
-                    max_weight_reversal, pair_digraph, standard_example_number,
-                    width)
+from .order import (Poset, WidthResult, _bits, critical_pairs,
+                    downset_lattice, extend_reversing, incomparable_pairs,
+                    max_down_degree, max_weight_reversal, pair_digraph,
+                    standard_example_number, width)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,7 @@ def dm_dimension(P: Poset, budget: Optional[int] = None,
     M = pair_digraph(P, pairs)
     conflicts = _conflict_rows(M, t)
     clique = _max_clique(conflicts, t)
-    order = sorted(range(t), key=lambda p: (-_popcount(conflicts[p]), p))
+    order = sorted(range(t), key=lambda p: (-conflicts[p].bit_count(), p))
     nodes = 0
     total_nodes = 0
 
@@ -281,8 +281,7 @@ def fractional_dimension(P: Poset, ideal_limit: int = 500_000,
                 raise AssertionError("realizer total differs from LP optimum")
             return FdimResult(opt, realizer, tuple(y), tuple(rows), iterations)
         # defensive path: constrain every incomparable pair and resolve
-        all_inc = [(a, b) for a in range(P.n)
-                   for b in _bits(~(P.up[a] | P.down[a]) & ((1 << P.n) - 1))]
+        all_inc = incomparable_pairs(P)
         if len(rows) == len(all_inc):
             raise AssertionError("LP optimum fails verification on full rows")
         rows = all_inc
@@ -333,36 +332,13 @@ def pkn_fractional_certificate(k: int, n: int,
                 if mi == i and all(not (z_mask >> (j - 1)) & 1 for j in mb):
                     anchors.append(G.member_index(mmask))
             anchors.append(G.member_index(1 << (i - 1)))
-        ext = _extension_through(P, anchors)
+        # a pair (a, b) puts b before a, so the anchors come in list order
+        ext = extend_reversing(P, [(anchors[u + 1], anchors[u])
+                                   for u in range(len(anchors) - 1)])
+        if ext is None:
+            raise AssertionError("anchor chain conflicts with the order")
         weighted.append((ext, weight))
     return FractionalRealizer(tuple(weighted))
-
-
-def _extension_through(P: Poset, anchors: Sequence[int]) -> tuple:
-    """Linear extension visiting the anchor elements in the given order."""
-    import heapq
-    n = P.n
-    succ = [P.up_covers[x] for x in range(n)]
-    for u in range(len(anchors) - 1):
-        succ[anchors[u]] |= 1 << anchors[u + 1]
-    pred = [0] * n
-    for x in range(n):
-        for y in _bits(succ[x]):
-            pred[y] |= 1 << x
-    pred_count = [_popcount(m) for m in pred]
-    heap = [x for x in range(n) if pred_count[x] == 0]
-    heapq.heapify(heap)
-    out = []
-    while heap:
-        x = heapq.heappop(heap)
-        out.append(x)
-        for y in _bits(succ[x]):
-            pred_count[y] -= 1
-            if pred_count[y] == 0:
-                heapq.heappush(heap, y)
-    if len(out) != n:
-        raise AssertionError("anchor chain conflicts with the order")
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +440,7 @@ def binary_distinguishing(n: int) -> DistinguishingSequence:
     if n < 3:
         raise ParamRange("need n >= 3")
     t = 1 + int(math.floor(math.log2(n)))
-    cube = sorted(range(1 << t), key=lambda m: (_popcount(m), m), reverse=True)
+    cube = sorted(range(1 << t), key=lambda m: (m.bit_count(), m), reverse=True)
     seq = DistinguishingSequence(1, n, t, tuple(cube[:n]))
     ok, witness = verify_distinguishing(1, n, seq)
     if not ok:
@@ -525,7 +501,7 @@ def boolean_dimension_exact(P: Poset, max_t: int = 4,
                 u += 1
         if sep not in sep_to_order:
             sep_to_order[sep] = od
-    seps = sorted(sep_to_order, key=lambda s: (-_popcount(s), s))
+    seps = sorted(sep_to_order, key=lambda s: (-s.bit_count(), s))
     by_bit = [[i for i, s in enumerate(seps) if (s >> u) & 1]
               for u in range(universe)]
     nodes = 0
@@ -590,15 +566,16 @@ class DimensionReport:
     nodes: Optional[int] = None
 
     def check_chain(self) -> None:
-        """Assert the provable inequalities among the computed parameters."""
-        if self.cdim is not None and self.dim is not None:
-            assert self.cdim >= self.dim, (self.cdim, self.dim)
+        """Raise AssertionError unless the computed parameters satisfy the
+        provable inequalities (checked under python -O too)."""
+        if self.cdim is not None and self.dim is not None and self.cdim < self.dim:
+            raise AssertionError(f"cdim {self.cdim} < dim {self.dim}")
         if self.dim is not None:
             for low in (self.maxdd, self.se):
-                if low is not None:
-                    assert self.dim >= low, (self.dim, low)
-            if self.fdim is not None:
-                assert self.fdim <= self.dim, (self.fdim, self.dim)
+                if low is not None and self.dim < low:
+                    raise AssertionError(f"dim {self.dim} < lower bound {low}")
+            if self.fdim is not None and self.fdim > self.dim:
+                raise AssertionError(f"fdim {self.fdim} > dim {self.dim}")
 
 
 ALL_PARAMS = ("dim", "cdim", "maxdd", "se", "fdim")

@@ -11,11 +11,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import (AxiomViolation, GroundMismatch, NotMeetIrreducible,
                      ParamRange)
-from .order import Poset, _bits, _popcount, poset_from_up_rows
+from .order import Poset, _bits
 
 
 def set_to_mask(elements: Iterable[int]) -> int:
@@ -44,7 +42,7 @@ def set_label(mask: int, element_labels: Optional[Sequence[str]] = None) -> str:
 
 
 def _canonical(masks: Iterable[int]) -> tuple:
-    return tuple(sorted(set(masks), key=lambda m: (_popcount(m), m)))
+    return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
 
 
 @dataclass(frozen=True)
@@ -82,48 +80,6 @@ class SetFamily:
 
     def sets(self) -> list:
         return [mask_to_set(m) for m in self.masks]
-
-
-def _inclusion_rows(masks: Sequence[int], ground_n: int) -> list:
-    """up[i] = bitmask over family positions j with masks[i] subset of masks[j]."""
-    m = len(masks)
-    if ground_n <= 63 and m > 128:
-        arr = np.array(masks, dtype=np.uint64)
-        rows = []
-        nbytes = (m + 7) // 8
-        chunk = max(1, (1 << 22) // max(m, 1))
-        for lo in range(0, m, chunk):
-            hi = min(m, lo + chunk)
-            sub = (arr[lo:hi, None] & ~arr[None, :]) == 0
-            packed = np.packbits(sub, axis=1, bitorder="little")
-            for r in range(hi - lo):
-                rows.append(int.from_bytes(packed[r].tobytes(), "little"))
-        return rows
-    rows = []
-    for a in masks:
-        row = 0
-        for j, b in enumerate(masks):
-            if a & ~b == 0:
-                row |= 1 << j
-        rows.append(row)
-    return rows
-
-
-def _covers_graded(masks: Sequence[int]) -> list:
-    """Cover pairs of the inclusion order assuming the family is graded by
-    cardinality (true for validated geometries: covers add one element)."""
-    by_size = {}
-    for i, m in enumerate(masks):
-        by_size.setdefault(_popcount(m), []).append(i)
-    out = []
-    for s, level in sorted(by_size.items()):
-        above = by_size.get(s + 1, ())
-        for i in level:
-            mi = masks[i]
-            for j in above:
-                if mi & ~masks[j] == 0:
-                    out.append((i, j))
-    return out
 
 
 @dataclass(frozen=True)
@@ -170,52 +126,90 @@ class ConvexGeometry:
     def upper_cover(self, i: int) -> int:
         """The unique poset index covering meet-irreducible i."""
         mask = self.poset.up_covers[i]
-        if _popcount(mask) != 1:
-            raise NotMeetIrreducible(f"member {i} has up-degree {_popcount(mask)}")
+        if mask.bit_count() != 1:
+            raise NotMeetIrreducible(f"member {i} has up-degree {mask.bit_count()}")
         return mask.bit_length() - 1
 
 
 def validate_convex_geometry(family: SetFamily) -> ConvexGeometry:
-    """Check the three axioms and build the inclusion poset.
+    """Check the three axioms and build the inclusion poset in one pass.
 
     Raises AxiomViolation naming the first failing axiom with a witness in
     1-based set notation.
+
+    The pass walks the members F in canonical order. Looking up A+e for
+    every element e outside A gives the one-element extensions of A, which
+    the extension axiom asks of every member but the ground set X.
+    Intersection closure is checked locally: any two lower covers A-x and
+    A-y of a member A must meet inside F. Given the base and extension
+    axioms, that suffices. For members A and B induct on |X∖A| + |X∖B|
+    (nothing to show when A or B is X): take a with A+a ∈ F and b with
+    B+b ∈ F. If a ∉ B then A∩B = (A+a)∩B, and if b ∉ A then
+    A∩B = A∩(B+b), a member by induction either way. Otherwise C = A∩B has
+    C+a, C+b, C+a+b ∈ F by induction, so the local check on C+a+b gives
+    C ∈ F.
+
+    In a convex geometry every cover adds one element: for members A ⊂ B,
+    climb from A to X by one-element extensions; the first step A'+e with
+    e ∈ B has A'∩B = A, so A+e = (A'+e)∩B ∈ F. So the one-element
+    extensions are the upper covers, and the filter (ideal) row of a member
+    is the OR of its upper (lower) covers' rows, built from the top
+    (bottom) of the canonical order.
+
+    The pass only accepts. On any fault the pairwise intersection scan, then
+    the extension scan, name the axiom and its witness.
     """
     n = family.ground_n
     masks = family.masks
+    index = family.index
     full = (1 << n) - 1
     if 0 not in family:
         raise AxiomViolation("base", (), "empty set missing")
     if full not in family:
         raise AxiomViolation("base", mask_to_set(full), "ground set missing")
-    _check_intersections(family)
-    for a in masks:
-        if a == full:
-            continue
-        if not any(not (a >> e) & 1 and (a | (1 << e)) in family
-                   for e in range(n)):
-            raise AxiomViolation("extension", mask_to_set(a))
-    return _build_geometry(family)
+    m = len(masks)
+    singletons = [1 << e for e in range(n)]
+    ups = [[] for _ in range(m)]
+    downs = [[] for _ in range(m)]
+    covers = []
+    for i, a in enumerate(masks):
+        for s in singletons:
+            j = index.get(a | s)
+            if j is not None and j != i:
+                covers.append((i, j))
+                ups[i].append(j)
+                downs[j].append(i)
+    # the ground set is the last member, the only one with nothing above
+    if not all(ups[:-1]) or not all(
+            masks[p] & masks[q] in index
+            for below in downs for x, p in enumerate(below) for q in below[:x]):
+        _check_intersections(family)
+        a = _first_unextendable(masks, index, n)
+        if a is None:
+            raise AssertionError("local axiom check failed on a convex geometry")
+        raise AxiomViolation("extension", mask_to_set(a))
+    up = [0] * m
+    for i in range(m - 1, -1, -1):
+        row = 1 << i
+        for j in ups[i]:
+            row |= up[j]
+        up[i] = row
+    down = [0] * m
+    for j in range(m):
+        row = 1 << j
+        for i in downs[j]:
+            row |= down[i]
+        down[j] = row
+    labels = tuple(set_label(a) for a in masks)
+    poset = Poset(m, tuple(up), tuple(down), labels, tuple(covers))
+    meet_irr = tuple(i for i in range(m) if len(ups[i]) == 1)
+    join_irr = tuple(j for j in range(m) if len(downs[j]) == 1)
+    return ConvexGeometry(family, poset, meet_irr, join_irr)
 
 
 def _check_intersections(family: SetFamily) -> None:
+    """Raise on the first pair (B, A), B before A, whose meet is missing."""
     masks = family.masks
-    m = len(masks)
-    if family.ground_n <= 63 and m > 128:
-        arr = np.array(masks, dtype=np.uint64)
-        sorted_arr = np.sort(arr)
-        chunk = max(1, (1 << 22) // m)
-        for lo in range(0, m, chunk):
-            hi = min(m, lo + chunk)
-            ands = arr[lo:hi, None] & arr[None, :]
-            idx = np.searchsorted(sorted_arr, ands)
-            ok = sorted_arr[np.minimum(idx, m - 1)] == ands
-            if not ok.all():
-                i, j = np.argwhere(~ok)[0]
-                raise AxiomViolation(
-                    "intersection",
-                    (mask_to_set(masks[lo + int(i)]), mask_to_set(masks[int(j)])))
-        return
     index = family.index
     for i, a in enumerate(masks):
         for b in masks[:i]:
@@ -223,25 +217,26 @@ def _check_intersections(family: SetFamily) -> None:
                 raise AxiomViolation("intersection", (mask_to_set(b), mask_to_set(a)))
 
 
-def _build_geometry(family: SetFamily) -> ConvexGeometry:
-    masks = family.masks
-    labels = tuple(set_label(m) for m in masks)
-    rows = _inclusion_rows(masks, family.ground_n)
-    poset = poset_from_up_rows(rows, labels)
-    poset.with_covers(_covers_graded(masks))
-    ud = [_popcount(m) for m in poset.up_covers]
-    dd = [_popcount(m) for m in poset.down_covers]
-    meet_irr = tuple(i for i in range(len(masks)) if ud[i] == 1)
-    join_irr = tuple(i for i in range(len(masks)) if dd[i] == 1)
-    return ConvexGeometry(family, poset, meet_irr, join_irr)
+def _first_unextendable(masks: Iterable[int], members, n: int) -> Optional[int]:
+    """First of `masks`, other than the ground set, with no one-element
+    extension in `members`; None when every one extends."""
+    full = (1 << n) - 1
+    for a in masks:
+        if a != full and not any(not (a >> e) & 1 and (a | (1 << e)) in members
+                                 for e in range(n)):
+            return a
+    return None
 
 
-def meet_irreducibles(G: ConvexGeometry) -> tuple:
-    return G.meet_irr
-
-
-def join_irreducibles(G: ConvexGeometry) -> tuple:
-    return G.join_irr
+def _join_masks(parts: Iterable[Iterable[int]]) -> set:
+    """All intersections picking one member from each of the non-empty
+    sequence of families, by iterated pairwise closure, which saturates
+    quickly instead of walking the full product."""
+    parts = iter(parts)
+    current = set(next(parts))
+    for other in parts:
+        current = {a & b for a in current for b in other}
+    return current
 
 
 def critical_pair_of_meet_irreducible(G: ConvexGeometry, b_index: int):
@@ -256,7 +251,7 @@ def critical_pair_of_meet_irreducible(G: ConvexGeometry, b_index: int):
     """
     y = G.upper_cover(b_index)
     diff = G.masks[y] & ~G.masks[b_index]
-    if _popcount(diff) != 1:
+    if diff.bit_count() != 1:
         raise AssertionError("graded cover should add exactly one element")
     a_mask = (1 << G.ground_n) - 1
     for c in G.masks:
@@ -357,8 +352,7 @@ def check_boolean_property(P: Poset):
 def join_geometries(parts: Sequence[ConvexGeometry]) -> ConvexGeometry:
     """The join: all intersections picking one member from each part.
 
-    Computed by iterated pairwise closure, which saturates quickly instead of
-    walking the full product. The result is revalidated defensively.
+    The result is revalidated defensively.
     """
     if not parts:
         raise ParamRange("need at least one geometry")
@@ -366,9 +360,7 @@ def join_geometries(parts: Sequence[ConvexGeometry]) -> ConvexGeometry:
     for g in parts[1:]:
         if g.ground_n != n:
             raise GroundMismatch(f"ground sets differ: {n} vs {g.ground_n}")
-    current = set(parts[0].masks)
-    for g in parts[1:]:
-        current = {a & b for a in current for b in g.masks}
+    current = _join_masks(g.masks for g in parts)
     return validate_convex_geometry(SetFamily.from_masks(n, current))
 
 
@@ -391,13 +383,12 @@ def linear_geometry_masks(perm: Sequence[int]) -> list:
 def verify_convex_realizer(G: ConvexGeometry, perms: Sequence[Sequence[int]]) -> bool:
     """True iff the joined initial-segment families equal the geometry exactly."""
     n = G.ground_n
+    if not perms:
+        return False
     for p in perms:
         if sorted(p) != list(range(1, n + 1)):
             return False
-    current = set(linear_geometry_masks(perms[0]))
-    for p in perms[1:]:
-        other = linear_geometry_masks(p)
-        current = {a & b for a in current for b in other}
+    current = _join_masks(linear_geometry_masks(p) for p in perms)
     return _canonical(current) == G.masks
 
 

@@ -25,10 +25,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 @dataclass(frozen=True)
 class Poset:
     """A finite poset given by its full reflexive order relation.
@@ -36,12 +32,21 @@ class Poset:
     up[x] and down[x] are bitmasks of the principal filter and ideal of x.
     Construction through the public helpers guarantees the relation is
     reflexive, antisymmetric and transitive; `validate` rechecks.
+
+    covers lists every cover pair (x, y), x < y with nothing strictly
+    between, in increasing (x, y) order. A builder that already knows them
+    passes them in; otherwise they are derived from `up` on construction.
     """
 
     n: int
     up: tuple
     down: tuple
     labels: Optional[tuple] = None
+    covers: Optional[tuple] = None
+
+    def __post_init__(self):
+        if self.covers is None:
+            object.__setattr__(self, "covers", self._scan_covers())
 
     def leq(self, x: int, y: int) -> bool:
         return bool((self.up[x] >> y) & 1)
@@ -75,9 +80,7 @@ class Poset:
                 col |= 1 << y
         return col
 
-    @cached_property
-    def covers(self) -> tuple:
-        """All cover pairs (x, y) with x < y and nothing strictly between."""
+    def _scan_covers(self) -> tuple:
         out = []
         for x in range(self.n):
             strict = self.up[x] & ~(1 << x)
@@ -102,11 +105,6 @@ class Poset:
             adj[y] |= 1 << x
         return tuple(adj)
 
-    def with_covers(self, covers: Sequence) -> "Poset":
-        """Return self with the cover relation injected (skips the generic scan)."""
-        self.__dict__["covers"] = tuple(covers)
-        return self
-
     def restrict(self, elements: Sequence[int]) -> "Poset":
         """Induced subposet on the given elements, in the given order."""
         idx = {e: i for i, e in enumerate(elements)}
@@ -122,7 +120,7 @@ class Poset:
         return Poset(k, tuple(up), tuple(down), labels)
 
     def is_chain(self) -> bool:
-        return all(_popcount(self.up[x]) + _popcount(self.down[x]) == self.n + 1
+        return all(self.up[x].bit_count() + self.down[x].bit_count() == self.n + 1
                    for x in range(self.n))
 
 
@@ -176,24 +174,20 @@ def poset_from_up_rows(up: Sequence[int], labels=None) -> Poset:
 # degrees and distinguished pairs
 
 
-def hasse_covers(P: Poset):
-    return list(P.covers)
-
-
 def down_degree(P: Poset, y: int) -> int:
-    return _popcount(P.down_covers[y])
+    return P.down_covers[y].bit_count()
 
 
 def up_degree(P: Poset, x: int) -> int:
-    return _popcount(P.up_covers[x])
+    return P.up_covers[x].bit_count()
 
 
 def max_down_degree(P: Poset) -> int:
-    return max((_popcount(m) for m in P.down_covers), default=0)
+    return max((m.bit_count() for m in P.down_covers), default=0)
 
 
 def max_up_degree(P: Poset) -> int:
-    return max((_popcount(m) for m in P.up_covers), default=0)
+    return max((m.bit_count() for m in P.up_covers), default=0)
 
 
 def incomparable_pairs(P: Poset):
@@ -313,7 +307,7 @@ def extend_reversing(P: Poset, pairs: Sequence):
     for x in range(n):
         for y in _bits(succ[x]):
             pred[y] |= 1 << x
-    indeg = [_popcount(pred[y]) for y in range(n)]
+    indeg = [pred[y].bit_count() for y in range(n)]
     heap = [x for x in range(n) if indeg[x] == 0]
     heapq.heapify(heap)
     out = []
@@ -528,7 +522,7 @@ def downset_lattice(P: Poset, limit: int = 2_000_000):
                                 f"downset lattice exceeds {limit} nodes")
                         nxt.append(nd)
         frontier = nxt
-    return sorted(seen, key=lambda m: (_popcount(m), m))
+    return sorted(seen, key=lambda m: (m.bit_count(), m))
 
 
 def count_linear_extensions(P: Poset, ideal_limit: int = 2_000_000) -> int:

@@ -9,6 +9,7 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
@@ -31,6 +32,16 @@ SCHEMAS = {
     "fractional": "ordim/certificate/fractional/1",
     "distinguishing": "ordim/certificate/distinguishing/1",
 }
+
+
+@contextmanager
+def _shape(kind: str):
+    """Read a `kind` document: a value of the wrong shape (not an object, a
+    missing field, a field of the wrong type) raises MalformedCertificate."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedCertificate(f"malformed {kind} document: {exc!r}") from exc
 
 
 def dumps(obj: dict) -> str:
@@ -60,9 +71,10 @@ def families_to_json(ground: int, fams, meta: Optional[dict] = None) -> dict:
 
 
 def family_from_json(doc: dict) -> SetFamily:
-    if doc.get("schema") != SCHEMAS["setfamily"]:
-        raise MalformedCertificate(f"not a set family document: {doc.get('schema')!r}")
-    return SetFamily.from_sets(int(doc["ground"]), doc["sets"])
+    with _shape("set family"):
+        if doc.get("schema") != SCHEMAS["setfamily"]:
+            raise MalformedCertificate(f"not a set family document: {doc.get('schema')!r}")
+        return SetFamily.from_sets(int(doc["ground"]), doc["sets"])
 
 
 def poset_to_json(P: Poset) -> dict:
@@ -77,11 +89,12 @@ def poset_to_json(P: Poset) -> dict:
 
 
 def poset_from_json(doc: dict) -> Poset:
-    if doc.get("schema") != SCHEMAS["poset"]:
-        raise MalformedCertificate(f"not a poset document: {doc.get('schema')!r}")
-    return poset_from_relation(int(doc["n"]),
-                               [tuple(p) for p in doc["relation"]],
-                               labels=doc.get("labels"))
+    with _shape("poset"):
+        if doc.get("schema") != SCHEMAS["poset"]:
+            raise MalformedCertificate(f"not a poset document: {doc.get('schema')!r}")
+        return poset_from_relation(int(doc["n"]),
+                                   [tuple(p) for p in doc["relation"]],
+                                   labels=doc.get("labels"))
 
 
 def load_document(path: str):
@@ -91,7 +104,8 @@ def load_document(path: str):
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    schema = doc.get("schema", "")
+    with _shape("input"):
+        schema = doc.get("schema", "")
     if schema == SCHEMAS["setfamily"]:
         return family_from_json(doc), None
     if schema == SCHEMAS["poset"]:
@@ -128,25 +142,26 @@ def certificate_to_json(cert) -> dict:
 
 
 def certificate_from_json(doc: dict):
-    schema = doc.get("schema", "")
-    if schema == SCHEMAS["realizer"]:
-        return Realizer(tuple(tuple(e) for e in doc["extensions"]))
-    if schema == SCHEMAS["convex"]:
-        return ConvexRealizer(tuple(tuple(p) for p in doc["perms"]))
-    if schema == SCHEMAS["local"]:
-        return LocalRealizer(tuple(tuple(p) for p in doc["ples"]))
-    if schema == SCHEMAS["boolean"]:
-        return BooleanRealizer(tuple(tuple(o) for o in doc["orders"]),
-                               frozenset(doc["tau"]))
-    if schema == SCHEMAS["fractional"]:
-        return FractionalRealizer(tuple(
-            (tuple(item["extension"]), Fraction(item["weight"]))
-            for item in doc["weighted"]))
-    if schema == SCHEMAS["distinguishing"]:
-        sets = tuple(sum(1 << (m - 1) for m in marks) for marks in doc["sets"])
-        return DistinguishingSequence(int(doc["k"]), int(doc["n"]),
-                                      int(doc["t"]), sets)
-    raise MalformedCertificate(f"unknown certificate schema {schema!r}")
+    with _shape("certificate"):
+        schema = doc.get("schema", "")
+        if schema == SCHEMAS["realizer"]:
+            return Realizer(tuple(tuple(e) for e in doc["extensions"]))
+        if schema == SCHEMAS["convex"]:
+            return ConvexRealizer(tuple(tuple(p) for p in doc["perms"]))
+        if schema == SCHEMAS["local"]:
+            return LocalRealizer(tuple(tuple(p) for p in doc["ples"]))
+        if schema == SCHEMAS["boolean"]:
+            return BooleanRealizer(tuple(tuple(o) for o in doc["orders"]),
+                                   frozenset(doc["tau"]))
+        if schema == SCHEMAS["fractional"]:
+            return FractionalRealizer(tuple(
+                (tuple(item["extension"]), Fraction(item["weight"]))
+                for item in doc["weighted"]))
+        if schema == SCHEMAS["distinguishing"]:
+            sets = tuple(sum(1 << (m - 1) for m in marks) for marks in doc["sets"])
+            return DistinguishingSequence(int(doc["k"]), int(doc["n"]),
+                                          int(doc["t"]), sets)
+        raise MalformedCertificate(f"unknown certificate schema {schema!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .constructions import (boolean_algebra, enumerate_geometries, jkn,
 from .dimensions import DimensionReport, analyze
 from .errors import ParamRange
 from .geometry import (ConvexGeometry, check_boolean_property,
-                       meet_irreducibles, vc_dimension_shattering)
+                       vc_dimension_shattering)
 
 UNIVERSAL_CHECKS = ("Thm3.1", "Thm3.4", "Obs3.3", "T1.2", "T1.3", "T1.4", "Prop3.8")
 FAMILY_CHECKS = ("T1.1", "T1.5", "Prop8.x")
@@ -104,7 +104,7 @@ def _pkn_rows(inst: Instance, rep: DimensionReport, checks) -> List[CheckRow]:
         rows.append(CheckRow(inst.name, check, passed, detail))
 
     if "Prop8.x" in checks:
-        mi_masks = tuple(G.masks[i] for i in meet_irreducibles(G))
+        mi_masks = tuple(G.masks[i] for i in G.meet_irr)
         j_masks = jkn(k, n).masks
         add("Prop8.x:jkn", j_masks == mi_masks,
             f"|J|={len(j_masks)} |meet-irr|={len(mi_masks)}")
@@ -159,8 +159,7 @@ def _pn_rows(inst: Instance, rep: DimensionReport, checks) -> List[CheckRow]:
 
 
 def run_instance(inst: Instance, checks: Sequence[str],
-                 budget: Optional[int] = None,
-                 fdim_ideal_limit: int = 200_000) -> List[CheckRow]:
+                 budget: Optional[int] = None) -> List[CheckRow]:
     want_fdim = "Prop3.8" in checks or "T1.5" in checks
     rep = _report_for(inst, budget, want_fdim)
     rows = _universal_rows(inst, rep, checks)

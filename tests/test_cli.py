@@ -61,6 +61,31 @@ def test_malformed_input_exit_code(tmp_path):
     assert run(["compute", str(bad)]) == 2
 
 
+P14 = {"schema": "ordim/setfamily/1", "ground": 2, "sets": [[], [1], [1, 2]]}
+
+
+@pytest.mark.parametrize("doc, cert, argv", [
+    ([P14], None, ["compute"]),
+    (P14, {"schema": "ordim/certificate/realizer/1"},
+     ["verify", "--kind", "realizer"]),
+    (P14, {"schema": "ordim/certificate/fractional/1",
+           "weighted": [{"extension": [0, 1, 2], "weight": "abc"}]},
+     ["verify", "--kind", "fractional"]),
+    ({"schema": "ordim/setfamily/1", "ground": 2}, None, ["compute"]),
+], ids=["top-level-array", "realizer-without-extensions",
+        "non-numeric-weight", "family-without-sets"])
+def test_malformed_documents_exit_2(tmp_path, capsys, doc, cert, argv):
+    fam = tmp_path / "input.json"
+    fam.write_text(json.dumps(doc))
+    args = [argv[0], str(fam)]
+    if cert is not None:
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        args.append(str(path))
+    assert run(args + argv[1:]) == 2
+    assert "malformed" in capsys.readouterr().err
+
+
 def test_verify_certificates(tmp_path):
     fam = tmp_path / "p14.json"
     run(["gen", "pkn", "--k", "1", "--n", "4", "--out", str(fam)])

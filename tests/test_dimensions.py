@@ -392,3 +392,11 @@ def test_analyze_budget_marks_partial():
     rep = analyze(pkn(1, 8), params=("dim", "cdim", "maxdd", "se"), budget=5)
     assert rep.dim is None
     assert any("budget" in w for w in rep.warnings)
+
+
+def test_check_chain_raises_under_optimize(fresh_python):
+    code = ("from ordim.dimensions import DimensionReport\n"
+            "DimensionReport(dim=3, cdim=2).check_chain()")
+    out = fresh_python(code, "-O")
+    assert out.returncode != 0
+    assert "AssertionError: cdim 2 < dim 3" in out.stderr

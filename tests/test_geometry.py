@@ -1,6 +1,7 @@
 """Axioms, lattice structure, irreducibles, VC dimension, joins, chains."""
 
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -8,11 +9,11 @@ import pytest
 from ordim import (AxiomViolation, ConvexGeometry, GroundMismatch, SetFamily,
                    boolean_algebra, check_boolean_property,
                    critical_pair_of_meet_irreducible, critical_pairs,
-                   geometry_critical_pairs, join_geometries, join_irreducibles,
-                   linear_geometry, mask_to_set, maximal_chains,
-                   meet_irreducibles, pkn, poset_from_relation, set_to_mask,
-                   validate_convex_geometry, vc_dimension_shattering,
-                   verify_convex_realizer)
+                   enumerate_geometries, geometry_critical_pairs,
+                   join_geometries, linear_geometry, mask_to_set,
+                   maximal_chains, pkn, poset_from_relation, qn_pn,
+                   random_geometry, set_to_mask, validate_convex_geometry,
+                   vc_dimension_shattering, verify_convex_realizer)
 from ordim.constructions import jkn
 from ordim.geometry import set_label
 
@@ -70,6 +71,120 @@ def test_intersection_violation():
     assert exc.value.axiom == "intersection"
 
 
+def first_violation(n, masks):
+    """(axiom, witness) of the first axiom the family breaks, or None, read
+    off the definitions: base first, then the first pair (B, A) with B
+    before A in canonical order, A scanned first, whose intersection is
+    missing, then the first member with no one-element extension."""
+    fam = set(masks)
+    full = (1 << n) - 1
+    if 0 not in fam:
+        return "base", ()
+    if full not in fam:
+        return "base", mask_to_set(full)
+    order = sorted(fam, key=lambda m: (bin(m).count("1"), m))
+    for i, a in enumerate(order):
+        for b in order[:i]:
+            if a & b not in fam:
+                return "intersection", (mask_to_set(b), mask_to_set(a))
+    for a in order:
+        if a != full and not any((a | (1 << e)) in fam
+                                 for e in range(n) if not (a >> e) & 1):
+            return "extension", mask_to_set(a)
+    return None
+
+
+def validation_outcome(n, masks):
+    try:
+        validate_convex_geometry(SetFamily.from_masks(n, masks))
+    except AxiomViolation as exc:
+        return exc.axiom, exc.witness
+    return None
+
+
+def test_validation_matches_axiom_oracle_on_every_small_family():
+    accepted = []
+    for n in (1, 2, 3, 4):
+        count = 0
+        for pick in range(1 << (1 << n)):
+            masks = [m for m in range(1 << n) if (pick >> m) & 1]
+            want = first_violation(n, masks)
+            assert validation_outcome(n, masks) == want, (n, masks)
+            count += want is None
+        accepted.append(count)
+    assert accepted == [1, 3, 22, 485]
+
+
+def test_validation_matches_axiom_oracle_on_perturbed_geometries():
+    seen = set()
+    for n in (5, 6, 7):
+        for seed in range(10):
+            members = set(random_geometry(n, 3, seed).masks)
+            variants = [members - {a} for a in members]
+            variants += [members | {a} for a in range(1 << n) if a not in members]
+            for masks in variants:
+                want = first_violation(n, masks)
+                assert validation_outcome(n, masks) == want, (n, sorted(masks))
+                seen.add(want[0] if want else None)
+    assert seen == {None, "base", "intersection", "extension"}
+
+
+def inclusion_rows(G):
+    """Filter and ideal rows straight from inclusion: B lies above A iff it
+    holds every element of A, and below A iff it misses every element
+    outside A."""
+    masks, n = G.masks, G.ground_n
+    every = (1 << len(masks)) - 1
+    holds = [sum(1 << j for j, b in enumerate(masks) if (b >> e) & 1)
+             for e in range(n)]
+    up, down = [], []
+    for a in masks:
+        u = d = every
+        for e in range(n):
+            if (a >> e) & 1:
+                u &= holds[e]
+            else:
+                d &= ~holds[e]
+        up.append(u)
+        down.append(d)
+    return tuple(up), tuple(down)
+
+
+def set_bits(row):
+    out = []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return out
+
+
+def test_poset_rows_and_covers_match_inclusion_scan():
+    samples = list(enumerate_geometries(4))
+    samples += [pkn(1, n) for n in range(5, 13)]
+    samples += [pkn(2, n) for n in range(6, 13)] + [pkn(2, 32)]
+    samples += [qn_pn(n)[1] for n in range(3, 7)]
+    samples += [random_geometry(7, 3, s) for s in range(10)]
+    for G in samples:
+        up, down = inclusion_rows(G)
+        assert G.poset.up == up and G.poset.down == down
+        m = len(G.masks)
+        # y covers x iff the interval [x, y] holds nothing else
+        covers = tuple((x, y) for x in range(m) for y in set_bits(up[x])
+                       if (up[x] & down[y]).bit_count() == 2)
+        assert G.poset.covers == covers
+        above = Counter(x for x, _ in covers)
+        below = Counter(y for _, y in covers)
+        assert G.meet_irr == tuple(x for x in range(m) if above[x] == 1)
+        assert G.join_irr == tuple(y for y in range(m) if below[y] == 1)
+
+
+def test_import_leaves_numpy_unloaded(fresh_python):
+    out = fresh_python("import sys, ordim; print('numpy' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_ground_zero_rejected():
     from ordim import ParamRange
     with pytest.raises(ParamRange):
@@ -104,16 +219,16 @@ def test_meet_is_intersection_everywhere():
 def test_irreducibles_of_pkn():
     for (k, n) in [(1, 3), (1, 5), (2, 5), (2, 6), (3, 6)]:
         G = pkn(k, n)
-        mi_masks = tuple(G.masks[i] for i in meet_irreducibles(G))
+        mi_masks = tuple(G.masks[i] for i in G.meet_irr)
         assert mi_masks == jkn(k, n).masks
-        ji_masks = [G.masks[i] for i in join_irreducibles(G)]
+        ji_masks = [G.masks[i] for i in G.join_irr]
         assert sorted(ji_masks) == [1 << e for e in range(n)]
 
 
 def test_chain_geometry_meet_irreducibles():
     G = linear_geometry((1, 2, 3))
     # every member except the top has exactly one cover
-    assert meet_irreducibles(G) == tuple(range(len(G.family) - 1))
+    assert G.meet_irr == tuple(range(len(G.family) - 1))
 
 
 def test_critical_pair_of_meet_irreducible_boolean():
@@ -125,7 +240,7 @@ def test_critical_pair_of_meet_irreducible_boolean():
 
 def test_chain_correspondence_degenerates():
     G = linear_geometry((1, 2, 3))
-    for b in meet_irreducibles(G):
+    for b in G.meet_irr:
         a, bb = critical_pair_of_meet_irreducible(G, b)
         assert G.poset.leq(bb, a)          # comparable: covers, not critical
     assert geometry_critical_pairs(G) == []

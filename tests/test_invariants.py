@@ -9,7 +9,6 @@ from ordim import (Realizer, boolean_algebra, critical_pairs,
                    linear_extensions, max_down_degree, pkn, poset_from_relation,
                    random_geometry, strict_alternating_cycles,
                    vc_dimension_shattering, verify_realizer)
-from ordim.geometry import meet_irreducibles
 
 
 def random_poset(rng, n):
@@ -73,7 +72,7 @@ def test_jkn_equals_meet_irreducibles_full_grid():
     for n in range(3, 10):
         for k in range(1, n - 1):
             G = pkn(k, n)
-            assert tuple(G.masks[i] for i in meet_irreducibles(G)) == \
+            assert tuple(G.masks[i] for i in G.meet_irr) == \
                 jkn(k, n).masks
 
 
@@ -108,7 +107,7 @@ def test_boolean_algebra_contains_standard_example_via_layers():
 
 
 def test_graded_cover_shortcut_matches_generic_definition():
-    # geometry posets get their covers from the size-bucket shortcut; it must
+    # geometry posets get their covers from one-element extensions; they must
     # agree with the betweenness definition computed from the raw relation
     from ordim.order import Poset
     samples = list(enumerate_geometries(3)) + [pkn(1, 5), pkn(2, 5),
