@@ -27,7 +27,7 @@ from .errors import (AxiomViolation, BudgetExceeded, MalformedCertificate,
                      OrdimError, ParamRange, TooManyExtensions)
 from .geometry import (ConvexRealizer, validate_convex_geometry,
                        verify_convex_realizer)
-from .suite import (ALL_CHECKS, parse_named, population_enumerate,
+from .suite import (ALL_CHECKS, parse_ints, parse_named, population_enumerate,
                     population_random, rows_to_json, rows_to_table, run_suite)
 
 EXIT_OK = 0
@@ -56,7 +56,7 @@ def _cmd_gen(args) -> int:
     kind = args.kind
     meta = {}
     if kind == "linear":
-        perm = ([int(v) for v in args.perm.split(",")] if args.perm
+        perm = (parse_ints(args.perm, f"--perm {args.perm}") if args.perm
                 else list(range(1, args.n + 1)))
         fam = linear_geometry(perm).family
     elif kind == "boolean":
@@ -179,9 +179,10 @@ def _cmd_theorems(args) -> int:
     spec = args.population
     kind, _, rest = spec.partition(":")
     if kind == "enumerate":
-        instances = population_enumerate(int(rest))
+        (max_n,) = parse_ints(rest, spec, 1)
+        instances = population_enumerate(max_n)
     elif kind == "random":
-        n, t, count, seed = (int(v) for v in rest.split(","))
+        n, t, count, seed = parse_ints(rest, spec, 4)
         instances = population_random(n, t, count, seed)
     elif kind == "named":
         instances = parse_named(rest)

@@ -407,34 +407,52 @@ def width(P: Poset, elements: Optional[Sequence[int]] = None) -> WidthResult:
     """Width of the (sub)poset: minimum chain cover and maximum antichain.
 
     Uses the classical reduction to bipartite matching; an augmenting-path
-    matcher is plenty at this scale. Chains partition the elements, and the
-    returned antichain certifies optimality by having equal size.
+    matcher is plenty at this scale, and it searches on an explicit stack,
+    so long paths never meet the recursion limit. Chains partition the
+    elements, and the returned antichain certifies optimality by having
+    equal size.
     """
     elems = list(range(P.n)) if elements is None else list(elements)
     k = len(elems)
     if k == 0:
         return WidthResult(0, (), ())
+    # adj[i]: bitmask of the positions j with elems[i] < elems[j]
+    position = {e: j for j, e in enumerate(elems)}
     adj = []
-    for i, e in enumerate(elems):
-        row = [j for j, f in enumerate(elems) if i != j and P.lt(e, f)]
+    for e in elems:
+        row = 0
+        for f in _bits(P.up[e] & ~(1 << e)):
+            if f in position:
+                row |= 1 << position[f]
         adj.append(row)
     match_right = [-1] * k   # right j -> left i
     match_left = [-1] * k
 
-    def augment(i, seen):
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_right[j] == -1 or augment(match_right[j], seen):
+    size = 0
+    for root in range(k):
+        # depth-first search for an augmenting path on an explicit stack,
+        # lowest unseen right vertex first: lefts is the path of left
+        # vertices, rights the right vertex taken out of each but the last
+        seen = 0
+        lefts, rights = [root], []
+        while lefts:
+            free = adj[lefts[-1]] & ~seen
+            if not free:
+                lefts.pop()
+                if rights:
+                    rights.pop()
+                continue
+            j = (free & -free).bit_length() - 1
+            seen |= 1 << j
+            rights.append(j)
+            i = match_right[j]
+            if i == -1:
+                for i, j in zip(lefts, rights):
                     match_right[j] = i
                     match_left[i] = j
-                    return True
-        return False
-
-    size = 0
-    for i in range(k):
-        if augment(i, [False] * k):
-            size += 1
+                size += 1
+                break
+            lefts.append(i)
     # chains: follow matched successor links from unmatched-as-right elements
     starts = [j for j in range(k) if match_right[j] == -1]
     chains = []
@@ -452,7 +470,7 @@ def width(P: Poset, elements: Optional[Sequence[int]] = None) -> WidthResult:
         seen_l[i] = True
     while stack:
         i = stack.pop()
-        for j in adj[i]:
+        for j in _bits(adj[i]):
             if not seen_r[j]:
                 seen_r[j] = True
                 i2 = match_right[j]

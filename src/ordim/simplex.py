@@ -1,19 +1,25 @@
-"""Exact rational simplex for small covering programs.
+"""Exact fraction-free simplex for small covering programs.
 
 The covering LP is  min 1.f  s.t.  A f >= 1, f >= 0  with columns indexed by
 reversal patterns. It is solved through its dual  max 1.y  s.t.  A^T y <= 1,
 y >= 0  whose slack basis is immediately feasible, so no phase-1 is needed.
-Bland's rule on Fractions guarantees termination; scale stays tiny because
-columns are generated lazily by the callers.
+Bland's rule guarantees termination; scale stays tiny because columns are
+generated lazily by the callers.
+
+The tableau is kept in integers with one common denominator D (the
+integer-preserving elimination of Edmonds and Bareiss): the rational tableau
+is T / D, every pivot updates T[i][j] <- (T[i][j]*p - T[i][e]*T[l][j]) // D
+with exact division and then sets D <- p. The reduced-cost row is carried as
+one more row. Pivots, and so the optimum, duals and primal weights, are
+exactly those of the rational tableau; Fractions appear only in the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def solve_covering(columns: Sequence[int], nrows: int) -> Tuple[Fraction, list, list]:
@@ -33,57 +39,61 @@ def solve_covering(columns: Sequence[int], nrows: int) -> Tuple[Fraction, list, 
         raise ValueError("some row is uncovered by every column")
     m = len(columns)
     ncols = nrows + m
-    # dual tableau rows: one constraint per pattern; columns y_0..y_{t-1}, slacks
-    A: List[List[Fraction]] = []
+    # dual tableau rows: one constraint per pattern; columns y_0..y_{t-1},
+    # slacks, right-hand side; the last row holds the reduced costs
+    T = []
     for i, pat in enumerate(columns):
-        row = [ONE if (pat >> j) & 1 else ZERO for j in range(nrows)]
-        row.extend(ONE if s == i else ZERO for s in range(m))
-        row.append(ONE)
-        A.append(row)
-    cost = [ONE] * nrows + [ZERO] * m
+        row = [(pat >> j) & 1 for j in range(nrows)] + [0] * m + [1]
+        row[nrows + i] = 1
+        T.append(row)
+    T.append([-1] * nrows + [0] * (m + 1))
+    cost_row = T[m]
     basis = list(range(nrows, ncols))
-
-    def reduced_cost(j: int) -> Fraction:
-        z = ZERO
-        for i in range(m):
-            cb = cost[basis[i]]
-            if cb:
-                z += cb * A[i][j]
-        return z - cost[j]
+    D = 1
 
     while True:
         enter = -1
         for j in range(ncols):
-            if reduced_cost(j) < 0:
+            if cost_row[j] < 0:
                 enter = j   # Bland: lowest index wins
                 break
         if enter < 0:
             break
+        # ratio test T[i][-1] / T[i][enter] by cross-multiplication (D > 0)
         leave = -1
-        best = None
         for i in range(m):
-            a = A[i][enter]
+            a = T[i][enter]
             if a > 0:
-                r = A[i][-1] / a
-                if best is None or r < best or (r == best and basis[i] < basis[leave]):
-                    best, leave = r, i
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs = T[i][-1] * T[leave][enter]
+                rhs = T[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
         if leave < 0:
             raise ArithmeticError("dual LP unbounded; covering LP infeasible")
-        piv = A[leave][enter]
-        A[leave] = [v / piv for v in A[leave]]
-        prow = A[leave]
-        for i in range(m):
+        prow = T[leave]
+        p = prow[enter]
+        # every other row is rescaled by p / D, also where its entering
+        # entry is 0 (a no-op only when p == D)
+        for i in range(m + 1):
             if i != leave:
-                factor = A[i][enter]
+                row = T[i]
+                factor = row[enter]
                 if factor:
-                    A[i] = [v - factor * w for v, w in zip(A[i], prow)]
+                    T[i] = [(v * p - factor * w) // D for v, w in zip(row, prow)]
+                elif p != D:
+                    T[i] = [v * p // D for v in row]
+        cost_row = T[m]
         basis[leave] = enter
+        D = p
 
     y = [ZERO] * nrows
     for i in range(m):
         if basis[i] < nrows:
-            y[basis[i]] = A[i][-1]
-    f = [reduced_cost(nrows + i) for i in range(m)]
+            y[basis[i]] = Fraction(T[i][-1], D)
+    f = [Fraction(cost_row[nrows + i], D) for i in range(m)]
     opt = sum(y, ZERO)
     # strong duality and primal feasibility are cheap, check them always
     if sum(f, ZERO) != opt:

@@ -187,6 +187,26 @@ def population_random(n: int, t: int, count: int, seed: int) -> List[Instance]:
             for i in range(count)]
 
 
+def parse_ints(text: str, spec: str, count: Optional[int] = None) -> List[int]:
+    """Comma separated integers, exactly `count` of them when given.
+
+    Raises ParamRange naming the whole spec when the text does not parse.
+    """
+    try:
+        vals = [int(v) for v in text.split(",")] if text else []
+    except ValueError:
+        vals = None
+    if vals is None or (count is not None and len(vals) != count):
+        want = "comma separated integers"
+        if count:
+            want = "an integer" if count == 1 else f"{count} {want}"
+        raise ParamRange(f"bad spec {spec!r}: expected {want}")
+    return vals
+
+
+_NAMED_ARITY = {"pkn": 2, "pn": 1, "boolean": 1, "linear": 1}
+
+
 def parse_named(spec: str) -> List[Instance]:
     """Parse 'pkn=1,5;pn=3;boolean=3;linear=4' into instances."""
     out = []
@@ -195,7 +215,9 @@ def parse_named(spec: str) -> List[Instance]:
         if not part:
             continue
         name, _, args = part.partition("=")
-        vals = [int(v) for v in args.split(",")] if args else []
+        if name not in _NAMED_ARITY:
+            raise ParamRange(f"unknown named instance {name!r}")
+        vals = parse_ints(args, part, _NAMED_ARITY[name])
         if name == "pkn":
             k, n = vals
             out.append(Instance(f"pkn({k},{n})", pkn(k, n), "pkn", (k, n)))
@@ -205,12 +227,10 @@ def parse_named(spec: str) -> List[Instance]:
         elif name == "boolean":
             (n,) = vals
             out.append(Instance(f"boolean({n})", boolean_algebra(n), "generic"))
-        elif name == "linear":
+        else:
             (n,) = vals
             out.append(Instance(f"linear({n})",
                                 linear_geometry(tuple(range(1, n + 1))), "generic"))
-        else:
-            raise ParamRange(f"unknown named instance {name!r}")
     return out
 
 

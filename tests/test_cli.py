@@ -86,6 +86,19 @@ def test_malformed_documents_exit_2(tmp_path, capsys, doc, cert, argv):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, spec", [
+    (["theorems", "--population", "random:5,3"], "random:5,3"),
+    (["theorems", "--population", "named:pkn=1"], "pkn=1"),
+    (["theorems", "--population", "enumerate:x"], "enumerate:x"),
+    (["gen", "linear", "--n", "3", "--perm", "1,2,x"], "1,2,x"),
+], ids=["random-too-few", "named-too-few", "enumerate-not-int", "perm-not-int"])
+def test_bad_specs_exit_2(capsys, argv, spec):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert spec in err
+    assert "Traceback" not in err
+
+
 def test_verify_certificates(tmp_path):
     fam = tmp_path / "p14.json"
     run(["gen", "pkn", "--k", "1", "--n", "4", "--out", str(fam)])

@@ -132,6 +132,17 @@ def test_cdim_realizer_verifies_for_random_joins():
         assert len(res.realizer.perms) == res.cdim
 
 
+def test_cdim_long_augmenting_paths_do_not_recurse():
+    # the matcher's augmenting paths here are longer than the default
+    # recursion limit, so a recursive depth-first search would fail
+    from ordim import verify_convex_realizer
+    G = pkn(2, 27)
+    res = convex_dimension(G)
+    assert res.cdim == math.comb(26, 2) == 325
+    assert res.verified
+    assert verify_convex_realizer(G, res.realizer.perms)
+
+
 # ---------------------------------------------------------------------------
 # fractional dimension
 

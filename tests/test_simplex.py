@@ -1,9 +1,11 @@
 """Exact covering LP solver."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from ordim import fractional_dimension, pkn, simplex
 from ordim.simplex import solve_covering
 
 
@@ -40,7 +42,6 @@ def test_empty_rows():
 
 
 def test_duality_gap_zero_random():
-    import random
     rng = random.Random(1)
     for _ in range(30):
         nrows = rng.randint(1, 8)
@@ -56,3 +57,95 @@ def test_duality_gap_zero_random():
             s = sum(y[j] for j in range(nrows) if (c >> j) & 1)
             assert s <= 1
         # primal feasibility rechecked by the solver itself
+
+
+# --- reference oracle: the same Bland pivots on a dense Fraction tableau ----
+
+def _reference_solve_covering(columns, nrows):
+    """Dense Fraction tableau, Bland's rule, reduced costs recomputed."""
+    if nrows == 0:
+        return Fraction(0), [], [Fraction(0)] * len(columns)
+    m = len(columns)
+    ncols = nrows + m
+    A = []
+    for i, pat in enumerate(columns):
+        row = [Fraction((pat >> j) & 1) for j in range(nrows)]
+        row.extend(Fraction(int(s == i)) for s in range(m))
+        row.append(Fraction(1))
+        A.append(row)
+    cost = [1] * nrows + [0] * m
+    basis = list(range(nrows, ncols))
+
+    def reduced_cost(j):
+        z = sum((cost[basis[i]] * A[i][j] for i in range(m)), Fraction(0))
+        return z - cost[j]
+
+    while True:
+        enter = next((j for j in range(ncols) if reduced_cost(j) < 0), -1)
+        if enter < 0:
+            break
+        leave, best = -1, None
+        for i in range(m):
+            a = A[i][enter]
+            if a > 0:
+                r = A[i][-1] / a
+                if best is None or r < best or (r == best and basis[i] < basis[leave]):
+                    best, leave = r, i
+        piv = A[leave][enter]
+        A[leave] = [v / piv for v in A[leave]]
+        for i in range(m):
+            if i != leave and A[i][enter]:
+                factor = A[i][enter]
+                A[i] = [v - factor * w for v, w in zip(A[i], A[leave])]
+        basis[leave] = enter
+    y = [Fraction(0)] * nrows
+    for i in range(m):
+        if basis[i] < nrows:
+            y[basis[i]] = A[i][-1]
+    f = [reduced_cost(nrows + i) for i in range(m)]
+    return sum(y, Fraction(0)), y, f
+
+
+def _random_covering_lp(rng):
+    """Columns of one random size (so optima are often fractional), a few
+    duplicates, sometimes the all-ones column, singletons for bare rows."""
+    nrows = rng.randint(1, 12)
+    size = rng.randint(1, nrows)
+    cols = [sum(1 << j for j in rng.sample(range(nrows), size))
+            for _ in range(rng.randint(1, 14))]
+    cols += [rng.choice(cols) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.25:
+        cols.insert(rng.randint(0, len(cols)), (1 << nrows) - 1)
+    covered = 0
+    for c in cols:
+        covered |= c
+    cols += [1 << j for j in range(nrows) if not (covered >> j) & 1]
+    return cols, nrows
+
+
+def test_matches_reference_on_random_lps():
+    rng = random.Random(20261018)
+    fractional = 0
+    for _ in range(1200):
+        cols, nrows = _random_covering_lp(rng)
+        got = solve_covering(cols, nrows)
+        assert got == _reference_solve_covering(cols, nrows), (cols, nrows)
+        fractional += got[0].denominator > 1
+    # non-unit pivots are what the common denominator is for
+    assert fractional >= 200
+
+
+def test_matches_reference_on_recorded_fdim_lps(monkeypatch):
+    calls = []
+
+    def record(columns, nrows):
+        calls.append((list(columns), nrows))
+        return solve_covering(columns, nrows)
+
+    monkeypatch.setattr(simplex, "solve_covering", record)
+    for n in (5, 6):
+        fractional_dimension(pkn(1, n).poset)
+    monkeypatch.undo()
+    assert len(calls) == 31
+    for cols, nrows in calls:
+        assert solve_covering(cols, nrows) == _reference_solve_covering(cols, nrows)
