@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import MalformedCertificate
-from .order import Poset, _bits
+from .order import Poset, _bits, extend_reversing
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,6 @@ def verify_fractional_realizer(P: Poset, cert: FractionalRealizer):
 def realizer_from_reversible_classes(P: Poset, classes) -> Realizer:
     """Build a realizer by extending each reversible pair class to a linear
     extension that reverses it."""
-    from .order import extend_reversing
     exts = []
     for cls in classes:
         ext = extend_reversing(P, cls)

@@ -19,12 +19,9 @@ from .certificates import (BooleanRealizer, FractionalRealizer, LocalRealizer,
                            verify_realizer)
 from .constructions import (boolean_algebra, enumerate_geometries,
                             linear_geometry, pkn, qn_pn, random_geometry)
-from .dimensions import (DimensionReport, DistinguishingSequence, analyze,
-                         dm_dimension, fractional_dimension,
-                         verify_distinguishing)
-from .order import standard_example_number
+from .dimensions import DistinguishingSequence, analyze, verify_distinguishing
 from .errors import (AxiomViolation, BudgetExceeded, MalformedCertificate,
-                     OrdimError, ParamRange, TooManyExtensions)
+                     OrdimError, ParamRange)
 from .geometry import (ConvexRealizer, validate_convex_geometry,
                        verify_convex_realizer)
 from .suite import (ALL_CHECKS, parse_ints, parse_named, population_enumerate,
@@ -86,38 +83,12 @@ def _cmd_gen(args) -> int:
 def _cmd_compute(args) -> int:
     fam, poset = serialize.load_document(args.input)
     budget = _default_budget(args)
-    only = args.only.split(",") if args.only else None
     meta = {"input": os.path.basename(args.input)}
     if budget is not None:
         meta["budget"] = budget
-    if fam is not None:
-        G = validate_convex_geometry(fam)
-        params = only or ["dim", "cdim", "maxdd", "se", "fdim"]
-        report = analyze(G, params=params, budget=budget)
-    else:
-        params = only or ["dim", "se", "fdim"]
-        bad = set(params) - {"dim", "se", "fdim"}
-        if bad:
-            raise ParamRange(f"poset input supports dim/se/fdim, not {sorted(bad)}")
-        report = DimensionReport()
-        warnings = []
-        if "dim" in params:
-            try:
-                res = dm_dimension(poset, budget=budget)
-                report.dim = res.dim
-                report.realizer = res.realizer
-            except BudgetExceeded as exc:
-                warnings.append(f"dimension search out of budget (proved >= {exc.lower})")
-        if "se" in params:
-            report.se = standard_example_number(poset)
-        if "fdim" in params:
-            try:
-                res = fractional_dimension(poset)
-                report.fdim = res.fdim
-                report.fractional_realizer = res.realizer
-            except TooManyExtensions:
-                warnings.append("downset lattice too large, fdim skipped")
-        report.warnings = tuple(warnings)
+    subject = validate_convex_geometry(fam) if fam is not None else poset
+    report = analyze(subject, params=args.only.split(",") if args.only else None,
+                     budget=budget)
     doc = serialize.report_to_json(report, meta=meta)
     _write_out(serialize.dumps(doc), args.out)
     if any("out of budget" in w for w in report.warnings):
@@ -192,14 +163,9 @@ def _cmd_theorems(args) -> int:
     rows = run_suite(instances, checks, budget=_default_budget(args),
                      jobs=args.jobs)
     # machine-readable JSON goes to --out, the aligned table to stdout
-    json_doc = serialize.dumps(rows_to_json(rows))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json_doc)
-    if args.format == "json":
-        if not args.out:
-            sys.stdout.write(json_doc)
-    else:
+    if args.out or args.format == "json":
+        _write_out(serialize.dumps(rows_to_json(rows)), args.out)
+    if args.format == "table":
         sys.stdout.write(rows_to_table(rows))
     failures = sum(1 for r in rows if r.passed is False)
     print(f"{len(rows)} rows, {failures} failures", file=sys.stderr)

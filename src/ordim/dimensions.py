@@ -18,17 +18,18 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .certificates import (BooleanRealizer, FractionalRealizer, Realizer,
-                           realizer_from_reversible_classes, verify_boolean_realizer,
-                           verify_fractional_realizer, verify_realizer, _before_rows)
+                           query_string, realizer_from_reversible_classes,
+                           verify_boolean_realizer, verify_fractional_realizer,
+                           verify_realizer, _before_rows)
 from .constructions import jkn, pkn, _check_kn
 from .errors import (BudgetExceeded, InvalidRealizer, MaxTriesExceeded,
-                     NotDistinguishing, ParamRange)
+                     NotDistinguishing, ParamRange, TooManyExtensions)
 from .geometry import (ConvexGeometry, ConvexRealizer, geometry_critical_pairs,
                        mask_to_set, verify_convex_realizer)
-from .order import (Poset, WidthResult, _bits, critical_pairs,
-                    downset_lattice, extend_reversing, incomparable_pairs,
-                    max_down_degree, max_weight_reversal, pair_digraph,
-                    standard_example_number, width)
+from .order import (Poset, WidthResult, _adds_cycle, _bits, _clique,
+                    critical_pairs, downset_lattice, extend_reversing,
+                    incomparable_pairs, max_down_degree, max_weight_reversal,
+                    pair_digraph, standard_example_number, width)
 
 
 # ---------------------------------------------------------------------------
@@ -42,42 +43,6 @@ def _conflict_rows(M: Sequence[int], t: int) -> list:
             if (M[q] >> p) & 1:
                 rows[p] |= 1 << q
     return rows
-
-
-def _max_clique(rows: Sequence[int], t: int) -> int:
-    best = 0
-
-    def grow(size, cand):
-        nonlocal best
-        if size > best:
-            best = size
-        cs = list(_bits(cand))
-        for i, q in enumerate(cs):
-            if size + len(cs) - i <= best:
-                return
-            grow(size + 1, cand & rows[q] & ~((1 << (q + 1)) - 1))
-
-    grow(0, (1 << t) - 1)
-    return best
-
-
-def _adds_cycle(M, members: int, p: int) -> bool:
-    """Would pair p close a directed cycle inside the class?"""
-    inside = members | (1 << p)
-    seen = 0
-    frontier = M[p] & inside
-    while frontier:
-        if (frontier >> p) & 1:
-            return True
-        seen |= frontier
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= M[low.bit_length() - 1] & inside
-            f ^= low
-        frontier = nxt & ~seen
-    return False
 
 
 @dataclass
@@ -105,7 +70,7 @@ def dm_dimension(P: Poset, budget: Optional[int] = None,
     t = len(pairs)
     M = pair_digraph(P, pairs)
     conflicts = _conflict_rows(M, t)
-    clique = _max_clique(conflicts, t)
+    clique = len(_clique(conflicts, t))
     order = sorted(range(t), key=lambda p: (-conflicts[p].bit_count(), p))
     nodes = 0
     total_nodes = 0
@@ -537,9 +502,7 @@ def boolean_dimension_exact(P: Poset, max_t: int = 4,
         if res is not None:
             chosen_orders = tuple(sep_to_order[seps[i]] for i in res)
             pos_list = [{x: i for i, x in enumerate(od)} for od in chosen_orders]
-            tau = frozenset(
-                "".join("1" if pos[x] < pos[y] else "0" for pos in pos_list)
-                for x, y in comp)
+            tau = frozenset(query_string(pos_list, x, y) for x, y in comp)
             cert = BooleanRealizer(chosen_orders, tau)
             if not verify_boolean_realizer(P, cert):
                 raise AssertionError("Boolean search produced a bad certificate")
@@ -578,21 +541,34 @@ class DimensionReport:
                 raise AssertionError(f"fdim {self.fdim} > dim {self.dim}")
 
 
-ALL_PARAMS = ("dim", "cdim", "maxdd", "se", "fdim")
+GEOMETRY_PARAMS = ("dim", "cdim", "maxdd", "se", "fdim")
+POSET_PARAMS = ("dim", "se", "fdim")
 
 
-def analyze(G: ConvexGeometry, params: Sequence[str] = ALL_PARAMS,
+def analyze(X: ConvexGeometry | Poset, params: Optional[Sequence[str]] = None,
             budget: Optional[int] = None,
             ideal_limit: int = 500_000) -> DimensionReport:
-    """Compute the requested parameters of one geometry with certificates.
+    """Compute the requested parameters of a geometry or a poset with certificates.
 
-    Budget exhaustion and oversized downset lattices leave the affected
-    fields unset and add a warning instead of failing the whole report.
+    params=None asks for every parameter the input supports: GEOMETRY_PARAMS
+    for a ConvexGeometry, POSET_PARAMS for a bare Poset; any other name
+    raises ParamRange. Budget exhaustion and oversized downset lattices leave
+    the affected fields unset and add a warning instead of failing the whole
+    report.
     """
-    from .errors import TooManyExtensions
+    if isinstance(X, ConvexGeometry):
+        kind, supported, P = "geometry", GEOMETRY_PARAMS, X.poset
+        crit = geometry_critical_pairs(X)
+    else:
+        kind, supported, P = "poset", POSET_PARAMS, X
+        crit = critical_pairs(P)
+    if params is None:
+        params = supported
+    bad = set(params) - set(supported)
+    if bad:
+        raise ParamRange(f"{kind} input supports {'/'.join(supported)}, "
+                         f"not {sorted(bad)}")
     report = DimensionReport()
-    P = G.poset
-    crit = geometry_critical_pairs(G)
     warnings = []
 
     def timed(name, fn):
@@ -606,7 +582,7 @@ def analyze(G: ConvexGeometry, params: Sequence[str] = ALL_PARAMS,
     if "se" in params:
         report.se = timed("se", lambda: standard_example_number(P))
     if "cdim" in params:
-        res = timed("cdim", lambda: convex_dimension(G))
+        res = timed("cdim", lambda: convex_dimension(X))
         report.cdim = res.cdim
         report.convex_realizer = res.realizer
         if not res.verified:

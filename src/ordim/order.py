@@ -105,20 +105,6 @@ class Poset:
             adj[y] |= 1 << x
         return tuple(adj)
 
-    def restrict(self, elements: Sequence[int]) -> "Poset":
-        """Induced subposet on the given elements, in the given order."""
-        idx = {e: i for i, e in enumerate(elements)}
-        k = len(elements)
-        up = [0] * k
-        down = [0] * k
-        for i, e in enumerate(elements):
-            for f in _bits(self.up[e]):
-                if f in idx:
-                    up[i] |= 1 << idx[f]
-                    down[idx[f]] |= 1 << i
-        labels = tuple(self.label(e) for e in elements) if self.labels else None
-        return Poset(k, tuple(up), tuple(down), labels)
-
     def is_chain(self) -> bool:
         return all(self.up[x].bit_count() + self.down[x].bit_count() == self.n + 1
                    for x in range(self.n))
@@ -153,11 +139,7 @@ def poset_from_relation(n: int, pairs: Iterable, labels=None) -> Poset:
         for y in _bits(up[x]):
             if y != x and (up[y] >> x) & 1:
                 raise CycleError([x, y])
-    down = [0] * n
-    for x in range(n):
-        for y in _bits(up[x]):
-            down[y] |= 1 << x
-    return Poset(n, tuple(up), tuple(down), tuple(labels) if labels else None)
+    return poset_from_up_rows(up, labels)
 
 
 def poset_from_up_rows(up: Sequence[int], labels=None) -> Poset:
@@ -236,35 +218,26 @@ def pair_digraph(P: Poset, pairs: Sequence) -> list:
     return rows
 
 
-def _induced_cycle(rows, members: Sequence[int]):
-    """Find a directed cycle among `members` in the pair digraph, or None."""
-    member_set = set(members)
-    color = {}
-    stack_path = []
+def _adds_cycle(M, members: int, p: int) -> bool:
+    """Would pair p close a directed cycle of M with the pairs in `members`?
 
-    def dfs(v):
-        color[v] = 1
-        stack_path.append(v)
-        for w in _bits(rows[v]):
-            if w not in member_set:
-                continue
-            if color.get(w, 0) == 1:
-                i = stack_path.index(w)
-                return stack_path[i:]
-            if w not in color:
-                res = dfs(w)
-                if res:
-                    return res
-        stack_path.pop()
-        color[v] = 2
-        return None
-
-    for v in members:
-        if v not in color:
-            res = dfs(v)
-            if res:
-                return res
-    return None
+    Breadth-first search from p over bitmask frontiers, inside members | p.
+    """
+    inside = members | (1 << p)
+    seen = 0
+    frontier = M[p] & inside
+    while frontier:
+        if (frontier >> p) & 1:
+            return True
+        seen |= frontier
+        nxt = 0
+        f = frontier
+        while f:
+            low = f & -f
+            nxt |= M[low.bit_length() - 1] & inside
+            f ^= low
+        frontier = nxt & ~seen
+    return False
 
 
 def _strictify_cycle(P: Poset, pairs, cycle):
@@ -300,13 +273,11 @@ def extend_reversing(P: Poset, pairs: Sequence):
     index first for determinism.
     """
     n = P.n
-    succ = [P.up_covers[x] for x in range(n)]
+    succ = list(P.up_covers)
+    pred = list(P.down_covers)
     for a, b in pairs:
         succ[b] |= 1 << a
-    pred = [0] * n
-    for x in range(n):
-        for y in _bits(succ[x]):
-            pred[y] |= 1 << x
+        pred[a] |= 1 << b
     indeg = [pred[y].bit_count() for y in range(n)]
     heap = [x for x in range(n) if indeg[x] == 0]
     heapq.heapify(heap)
@@ -336,10 +307,27 @@ def is_reversible(P: Poset, pairs: Sequence):
     ext = extend_reversing(P, pairs)
     if ext is not None:
         return True, ext, None
-    rows = pair_digraph(P, pairs)
-    cyc = _induced_cycle(rows, range(len(pairs)))
-    if cyc is None:
+    M = pair_digraph(P, pairs)
+    # q is the first pair that closes a cycle with the (acyclic) pairs before it
+    before = 0
+    for q in range(len(pairs)):
+        if _adds_cycle(M, before, q):
+            break
+        before |= 1 << q
+    else:
         raise AssertionError("no extension but pair digraph acyclic")
+    # drop every pair some cycle through q can do without; what is left is
+    # one cycle through q, listed by walking to the one unvisited successor
+    for r in _bits(before):
+        if _adds_cycle(M, before & ~(1 << r), q):
+            before &= ~(1 << r)
+    cyc = [q]
+    step = M[q] & before
+    while step:
+        v = step.bit_length() - 1
+        cyc.append(v)
+        before &= ~(1 << v)
+        step = M[v] & before
     cyc = _strictify_cycle(P, pairs, cyc)
     return False, None, [pairs[i] for i in cyc]
 
@@ -626,6 +614,37 @@ def _se_compatibility(P: Poset, pairs):
     return rows
 
 
+def _clique(rows: Sequence[int], k: int, size: Optional[int] = None):
+    """Lowest-vertex-first branch and bound for cliques of a graph on 0..k-1.
+
+    rows[v] is the adjacency bitmask of v. Returns the lexicographically
+    first clique of maximum size, or, when `size` is given, the first clique
+    with `size` vertices (None when there is none), as a sorted list.
+    """
+    pick = []
+    best = []
+
+    def grow(cand):
+        nonlocal best
+        if len(pick) > len(best):
+            best = pick[:]
+        if len(pick) == size:
+            return True
+        cs = list(_bits(cand))
+        for i, q in enumerate(cs):
+            if len(pick) + len(cs) - i <= len(best):
+                return False
+            pick.append(q)
+            if grow(cand & rows[q] & ~((1 << (q + 1)) - 1)):
+                return True
+            pick.pop()
+        return False
+
+    if grow((1 << k) - 1):
+        return pick
+    return best if size is None else None
+
+
 def find_standard_example(P: Poset, t: int):
     """Search for an induced standard example of size t among critical pairs.
 
@@ -637,22 +656,8 @@ def find_standard_example(P: Poset, t: int):
     if t < 2:
         raise ParamRange("standard examples need t >= 2")
     pairs = critical_pairs(P)
-    rows = _se_compatibility(P, pairs)
-    k = len(pairs)
-    pick = []
-
-    def grow(start, allowed):
-        if len(pick) == t:
-            return True
-        for q in range(start, k):
-            if (allowed >> q) & 1:
-                pick.append(q)
-                if grow(q + 1, allowed & rows[q]):
-                    return True
-                pick.pop()
-        return False
-
-    if not grow(0, (1 << k) - 1):
+    pick = _clique(_se_compatibility(P, pairs), len(pairs), t)
+    if pick is None:
         return None
     mins = tuple(pairs[i][0] for i in pick)
     maxs = tuple(pairs[i][1] for i in pick)
@@ -662,19 +667,5 @@ def find_standard_example(P: Poset, t: int):
 def standard_example_number(P: Poset) -> int:
     """Largest t >= 2 with a standard example of size t induced in P, else 1."""
     pairs = critical_pairs(P)
-    rows = _se_compatibility(P, pairs)
-    k = len(pairs)
-    best = 1
-
-    def grow(size, candidates):
-        nonlocal best
-        if size > best:
-            best = size
-        cand = list(_bits(candidates))
-        for i, q in enumerate(cand):
-            if size + len(cand) - i <= best:
-                return
-            grow(size + 1, candidates & rows[q] & ~((1 << (q + 1)) - 1))
-
-    grow(0, (1 << k) - 1)
+    best = len(_clique(_se_compatibility(P, pairs), len(pairs)))
     return best if best >= 2 else 1

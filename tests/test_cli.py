@@ -199,6 +199,31 @@ def test_compute_poset_input(tmp_path):
     assert run(["compute", str(path), "--only", "cdim"]) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"schema": "ordim/setfamily/1", "ground": 2, "sets": [[], [1], [1, 2]]},
+    {"schema": "ordim/poset/1", "n": 4, "relation": [[0, 3], [1, 2]]},
+], ids=["geometry", "poset"])
+def test_compute_misspelled_param_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert run(["compute", str(path), "--only", "dimm,fdimm"]) == 2
+    err = capsys.readouterr().err
+    assert "['dimm', 'fdimm']" in err
+
+
+def test_compute_poset_lattice_overflow_warns(tmp_path):
+    # 2^19 downsets exceed the default limit of 500000 ideals
+    doc = {"schema": "ordim/poset/1", "n": 19, "relation": []}
+    path = tmp_path / "antichain.json"
+    path.write_text(json.dumps(doc))
+    rep = tmp_path / "rep.json"
+    assert run(["compute", str(path), "--only", "fdim", "--out", str(rep)]) == 0
+    report = read_json(rep)
+    assert report["params"] == {}
+    assert report["warnings"] == [
+        "downset lattice too large, fractional dimension skipped"]
+
+
 def test_verify_convex_boolean_local(tmp_path):
     from ordim import convex_dimension, pkn, boolean_dimension_exact
     from ordim.certificates import LocalRealizer

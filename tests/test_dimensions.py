@@ -18,7 +18,8 @@ from ordim import (BudgetExceeded, InvalidRealizer, MaxTriesExceeded,
                    realizer_to_distinguishing, set_to_mask,
                    standard_example_number, verify_distinguishing,
                    verify_fractional_realizer, verify_realizer)
-from ordim.dimensions import DistinguishingSequence
+from ordim.dimensions import DimensionReport, DistinguishingSequence
+from ordim.serialize import report_to_json
 from ordim.simplex import solve_covering
 
 
@@ -403,6 +404,23 @@ def test_analyze_budget_marks_partial():
     rep = analyze(pkn(1, 8), params=("dim", "cdim", "maxdd", "se"), budget=5)
     assert rep.dim is None
     assert any("budget" in w for w in rep.warnings)
+
+
+def test_analyze_poset_matches_separate_solvers():
+    # analyze on a bare poset writes the report that running its solvers
+    # one by one gives: dim with its realizer, se, fdim with its realizer
+    rng = random.Random(13)
+    posets = [std_example(2), std_example(3), chain(3)]
+    posets += [random_poset(rng, rng.randint(4, 7)) for _ in range(6)]
+    for P in posets:
+        dim, fdim = dm_dimension(P), fractional_dimension(P)
+        expected = DimensionReport(dim=dim.dim, se=standard_example_number(P),
+                                   fdim=fdim.fdim, realizer=dim.realizer,
+                                   fractional_realizer=fdim.realizer)
+        assert report_to_json(analyze(P)) == report_to_json(expected)
+    assert analyze(std_example(2), params=["se"]).se == 2
+    with pytest.raises(ParamRange, match="cdim"):
+        analyze(std_example(2), params=["dim", "cdim"])
 
 
 def test_check_chain_raises_under_optimize(fresh_python):

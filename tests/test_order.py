@@ -1,7 +1,7 @@
 """Core poset machinery: relations, pairs, reversibility, width, extensions."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -11,7 +11,7 @@ from ordim import (CountExceeded, CycleError, Poset, count_linear_extensions,
                    linear_extensions, max_down_degree, max_up_degree,
                    poset_from_relation, standard_example_number,
                    strict_alternating_cycles, up_degree, width)
-from ordim.order import extend_reversing
+from ordim.order import _clique, extend_reversing
 
 
 def std_example(t):
@@ -170,6 +170,14 @@ def brute_reversible(P, S):
     return False
 
 
+def is_strict_witness(P, S, cyc):
+    """cyc is a strict alternating cycle of pairs drawn from S."""
+    k = len(cyc)
+    return all(c in S for c in cyc) and all(
+        P.leq(cyc[i][0], cyc[j][1]) == (j == (i + 1) % k)
+        for i in range(k) for j in range(k))
+
+
 def test_reversibility_matches_bruteforce():
     rng = random.Random(3)
     for _ in range(120):
@@ -184,13 +192,28 @@ def test_reversibility_matches_bruteforce():
             pos = {x: i for i, x in enumerate(ext)}
             assert all(pos[a] > pos[b] for a, b in S)
         else:
-            # witness is a genuine strict alternating cycle from S
-            k = len(cyc)
-            assert all(c in S for c in cyc)
-            for i in range(k):
-                for j in range(k):
-                    want = j == (i + 1) % k
-                    assert P.leq(cyc[i][0], cyc[j][1]) == want
+            assert is_strict_witness(P, S, cyc)
+
+
+def test_reversibility_witnesses_are_strict_cycles_of_every_length():
+    # larger pair sets than above, so the witness cycles are not all 2-cycles
+    rng = random.Random(29)
+    lengths = set()
+    for _ in range(300):
+        P = random_poset(rng, rng.randint(5, 10))
+        inc = incomparable_pairs(P)
+        if not inc:
+            continue
+        S = rng.sample(inc, min(len(inc), rng.randint(1, 12)))
+        ok, ext, cyc = is_reversible(P, S)
+        assert ok == (cyc is None) == (ext is not None)
+        if ok:
+            pos = {x: i for i, x in enumerate(ext)}
+            assert all(pos[a] > pos[b] for a, b in S)
+        else:
+            assert is_strict_witness(P, S, cyc)
+            lengths.add(len(cyc))
+    assert 2 in lengths and max(lengths) >= 3
 
 
 def test_strict_alternating_cycles():
@@ -306,3 +329,28 @@ def test_standard_example_contains_itself():
 def test_chain_has_no_standard_example():
     assert standard_example_number(chain(4)) == 1
     assert find_standard_example(chain(4), 2) is None
+
+
+def brute_cliques(rows, k):
+    """Every clique of the graph, sorted by size and then lexicographically."""
+    return [c for size in range(k + 1) for c in combinations(range(k), size)
+            if all((rows[u] >> v) & 1 for u, v in combinations(c, 2))]
+
+
+def test_clique_matches_bruteforce():
+    rng = random.Random(41)
+    for _ in range(150):
+        k = rng.randint(0, 12)
+        density = rng.choice([0.2, 0.5, 0.8])
+        rows = [0] * k
+        for u, v in combinations(range(k), 2):
+            if rng.random() < density:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        cliques = brute_cliques(rows, k)
+        largest = len(cliques[-1])
+        assert _clique(rows, k) == list(min(c for c in cliques if len(c) == largest))
+        for size in range(largest + 1):
+            first = min(c for c in cliques if len(c) == size)
+            assert _clique(rows, k, size) == list(first)
+        assert _clique(rows, k, largest + 1) is None
