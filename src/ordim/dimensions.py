@@ -3,9 +3,9 @@
 Order dimension is computed by covering critical pairs with reversible
 classes (iterative deepening with incremental acyclicity pruning), convex
 dimension by the width of the meet-irreducible subposet, and fractional
-dimension by an exact rational LP with column generation priced over the
-downset lattice. Every returned number carries a certificate its verifier
-accepts.
+dimension by an exact rational LP with column generation priced by a
+branch and bound over reversible sets of critical pairs. Every returned
+number carries a certificate its verifier accepts.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from .certificates import (BooleanRealizer, FractionalRealizer, Realizer,
                            verify_realizer, _before_rows)
 from .constructions import jkn, pkn, _check_kn
 from .errors import (BudgetExceeded, InvalidRealizer, MaxTriesExceeded,
-                     NotDistinguishing, ParamRange, TooManyExtensions)
+                     NotDistinguishing, ParamRange)
 from .geometry import (ConvexGeometry, ConvexRealizer, geometry_critical_pairs,
                        mask_to_set, verify_convex_realizer)
 from .order import (Poset, WidthResult, _adds_cycle, _bits, _clique,
-                    critical_pairs, downset_lattice, extend_reversing,
-                    incomparable_pairs, max_down_degree, max_weight_reversal,
-                    pair_digraph, standard_example_number, width)
+                    _heaviest_reversible, critical_pairs, extend_reversing,
+                    incomparable_pairs, max_down_degree, pair_digraph,
+                    standard_example_number, width)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +176,7 @@ class FdimResult:
     duals: tuple
     rows: tuple         # the incomparable pairs constrained in the final LP
     iterations: int
+    nodes: int = 0      # pricing search nodes over all rounds
 
 
 def _reversal_pattern(ext: tuple, rows: Sequence) -> int:
@@ -187,16 +188,25 @@ def _reversal_pattern(ext: tuple, rows: Sequence) -> int:
     return pat
 
 
-def fractional_dimension(P: Poset, ideal_limit: int = 500_000,
-                         crit: Optional[Sequence] = None) -> FdimResult:
+def fractional_dimension(P: Poset, crit: Optional[Sequence] = None,
+                         budget: Optional[int] = None) -> FdimResult:
     """Exact fractional dimension with an optimal fractional realizer.
 
-    Solves the covering LP over critical pairs by column generation: the
-    pricing step finds a linear extension of maximum total dual weight by
-    dynamic programming over the downset lattice, so optimality is certified
-    against every linear extension without enumerating them. The optimum is
+    Solves the covering LP over critical pairs by column generation. The
+    pricing step needs the linear extension that reverses the most dual
+    weight. The pairs one extension reverses form a reversible set, and
+    extend_reversing realises any reversible set, so with non-negative duals
+    that is the heaviest reversible set of pairs, found by an exact branch
+    and bound over the pair digraph; optimality is thus certified against
+    every linear extension without enumerating them. The optimum is
     cross-verified against all incomparable pairs; if that ever failed, the
     violated pairs would join the constraint rows and the solve would repeat.
+
+    Budget counts pricing nodes over all rounds; exceeding it raises
+    BudgetExceeded with exact bounds: upper is the restricted LP's optimum,
+    whose primal (in `partial`) is a fractional realizer, and lower is the
+    best Farley bound opt / v, with v the largest price a round found, or,
+    for the interrupted round, an upper bound on it.
     """
     from .simplex import solve_covering
 
@@ -206,8 +216,9 @@ def fractional_dimension(P: Poset, ideal_limit: int = 500_000,
         return FdimResult(Fraction(1),
                           FractionalRealizer(((ext, Fraction(1)),)),
                           (), (), 0)
-    ideals = downset_lattice(P, ideal_limit)
     M = pair_digraph(P, rows)
+    nodes = 0
+    lower = Fraction(0)
 
     while True:
         t = len(rows)
@@ -229,22 +240,36 @@ def fractional_dimension(P: Poset, ideal_limit: int = 500_000,
         while True:
             iterations += 1
             opt, y, f = solve_covering(patterns, t)
-            val, ext = max_weight_reversal(P, rows, y, ideals)
-            if val <= 1:
+            realizer = FractionalRealizer(tuple(
+                (witnesses[i], f[i]) for i in range(len(patterns)) if f[i]))
+            scale = math.lcm(*(v.denominator for v in y))
+            weights = [v.numerator * (scale // v.denominator) for v in y]
+            price, members, used = _heaviest_reversible(
+                M, weights, None if budget is None else budget - nodes)
+            nodes += used
+            # Farley: y divided by the largest price is dual feasible
+            lower = max(lower, opt * scale / price)
+            if members is None:
+                raise BudgetExceeded(
+                    f"fractional dimension pricing exceeded {budget} nodes",
+                    lower=lower, upper=opt, partial=realizer)
+            if price <= scale:
                 break
+            ext = extend_reversing(P, [rows[q] for q in _bits(members)])
             pat = _reversal_pattern(ext, rows)
+            if sum(weights[j] for j in _bits(pat)) != price:
+                raise AssertionError("pricing missed a heavier reversible set")
             if pat in seen:
                 raise AssertionError("pricing returned an existing column")
             seen.add(pat)
             patterns.append(pat)
             witnesses.append(ext)
-        weighted = tuple((witnesses[i], f[i]) for i in range(len(patterns)) if f[i])
-        realizer = FractionalRealizer(weighted)
         ok, total = verify_fractional_realizer(P, realizer)
         if ok:
             if total != opt:
                 raise AssertionError("realizer total differs from LP optimum")
-            return FdimResult(opt, realizer, tuple(y), tuple(rows), iterations)
+            return FdimResult(opt, realizer, tuple(y), tuple(rows), iterations,
+                              nodes)
         # defensive path: constrain every incomparable pair and resolve
         all_inc = incomparable_pairs(P)
         if len(rows) == len(all_inc):
@@ -546,15 +571,14 @@ POSET_PARAMS = ("dim", "se", "fdim")
 
 
 def analyze(X: ConvexGeometry | Poset, params: Optional[Sequence[str]] = None,
-            budget: Optional[int] = None,
-            ideal_limit: int = 500_000) -> DimensionReport:
+            budget: Optional[int] = None) -> DimensionReport:
     """Compute the requested parameters of a geometry or a poset with certificates.
 
     params=None asks for every parameter the input supports: GEOMETRY_PARAMS
     for a ConvexGeometry, POSET_PARAMS for a bare Poset; any other name
-    raises ParamRange. Budget exhaustion and oversized downset lattices leave
-    the affected fields unset and add a warning instead of failing the whole
-    report.
+    raises ParamRange. Budget exhaustion leaves the affected fields unset
+    and adds a warning with the bounds proved instead of failing the whole
+    report; timings record every solver run, also one that ran out.
     """
     if isinstance(X, ConvexGeometry):
         kind, supported, P = "geometry", GEOMETRY_PARAMS, X.poset
@@ -573,9 +597,10 @@ def analyze(X: ConvexGeometry | Poset, params: Optional[Sequence[str]] = None,
 
     def timed(name, fn):
         t0 = time.perf_counter()
-        out = fn()
-        report.timings[name] = time.perf_counter() - t0
-        return out
+        try:
+            return fn()
+        finally:
+            report.timings[name] = time.perf_counter() - t0
 
     if "maxdd" in params:
         report.maxdd = timed("maxdd", lambda: max_down_degree(P))
@@ -598,11 +623,12 @@ def analyze(X: ConvexGeometry | Poset, params: Optional[Sequence[str]] = None,
     if "fdim" in params:
         try:
             res = timed("fdim", lambda: fractional_dimension(
-                P, ideal_limit=ideal_limit, crit=crit))
+                P, crit=crit, budget=budget))
             report.fdim = res.fdim
             report.fractional_realizer = res.realizer
-        except TooManyExtensions:
-            warnings.append("downset lattice too large, fractional dimension skipped")
+        except BudgetExceeded as exc:
+            warnings.append("fractional dimension out of budget "
+                            f"(proved {exc.lower} <= fdim <= {exc.upper})")
     report.warnings = tuple(warnings)
     report.check_chain()
     return report

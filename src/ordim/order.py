@@ -240,30 +240,46 @@ def _adds_cycle(M, members: int, p: int) -> bool:
     return False
 
 
-def _strictify_cycle(P: Poset, pairs, cycle):
-    """Shorten an alternating cycle of pair indices until it is strict."""
-    cyc = list(cycle)
-    while True:
-        k = len(cyc)
-        if k == 2:
-            return cyc
-        shortcut = None
-        for i in range(k):
-            ai = pairs[cyc[i]][0]
-            for d in range(2, k):
-                j = (i + d) % k
-                if (P.up[ai] >> pairs[cyc[j]][1]) & 1:
-                    shortcut = (i, j)
-                    break
-            if shortcut:
-                break
-        if shortcut is None:
-            return cyc
-        i, j = shortcut
-        if j > i:
-            cyc = cyc[:i + 1] + cyc[j:]
-        else:
-            cyc = cyc[j:i + 1]
+def _heaviest_reversible(M, weights: Sequence[int], limit: Optional[int] = None):
+    """Heaviest reversible pair set: a maximum-weight vertex set of the pair
+    digraph M whose induced subgraph is acyclic.
+
+    weights are non-negative integers. Branch and bound on an explicit
+    stack: the positive-weight pairs are decided heaviest first (lowest
+    index among ties), each included before it is excluded, included only
+    while it closes no cycle, and a node is pruned when its weight plus all
+    undecided weight cannot beat the best set so far. Returns (value,
+    members, nodes) with members the first heaviest set in that order and
+    nodes the number of nodes expanded. A search that would expand more
+    than `limit` nodes stops with members None and value the largest weight
+    plus undecided weight over its open nodes, an upper bound on the optimum.
+    """
+    order = sorted((p for p, w in enumerate(weights) if w > 0),
+                   key=lambda p: (-weights[p], p))
+    k = len(order)
+    rest = [0] * (k + 1)        # rest[i]: the weight of order[i:]
+    for i in range(k - 1, -1, -1):
+        rest[i] = rest[i + 1] + weights[order[i]]
+    best, best_set, nodes = 0, 0, 0
+    stack = [(0, 0, 0)]         # (pairs decided, members, weight)
+    while stack:
+        i, members, w = stack.pop()
+        if w + rest[i] <= best:
+            continue
+        if limit is not None and nodes >= limit:
+            # every set not yet seen lies below this node or one on the stack
+            bound = max([w + rest[i]] + [w2 + rest[i2] for i2, _, w2 in stack])
+            return bound, None, nodes
+        nodes += 1
+        if w > best:
+            best, best_set = w, members
+        if i == k:
+            continue
+        p = order[i]
+        stack.append((i + 1, members, w))
+        if not _adds_cycle(M, members, p):
+            stack.append((i + 1, members | 1 << p, w + weights[p]))
+    return best, best_set, nodes
 
 
 def extend_reversing(P: Poset, pairs: Sequence):
@@ -321,6 +337,12 @@ def is_reversible(P: Poset, pairs: Sequence):
     for r in _bits(before):
         if _adds_cycle(M, before & ~(1 << r), q):
             before &= ~(1 << r)
+    # The cycle is strict, i.e. has no chord. Every pair left lies on every
+    # cycle through q (a pair kept could not be dropped then, and dropping
+    # others later only removes cycles). A chord into q, or one that skips
+    # forward, would close a shorter cycle through q that misses a pair; any
+    # other chord points backwards and closes a cycle that avoids q, inside
+    # the acyclic pairs before q.
     cyc = [q]
     step = M[q] & before
     while step:
@@ -328,7 +350,6 @@ def is_reversible(P: Poset, pairs: Sequence):
         cyc.append(v)
         before &= ~(1 << v)
         step = M[v] & before
-    cyc = _strictify_cycle(P, pairs, cyc)
     return False, None, [pairs[i] for i in cyc]
 
 

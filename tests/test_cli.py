@@ -1,11 +1,13 @@
 """CLI surface: subcommands, exit codes, artifact round trips, determinism."""
 
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
 from ordim.cli import main
-from ordim import serialize
+from ordim import serialize, verify_fractional_realizer
 
 
 def run(argv):
@@ -211,17 +213,38 @@ def test_compute_misspelled_param_exits_2(tmp_path, capsys, doc):
     assert "['dimm', 'fdimm']" in err
 
 
-def test_compute_poset_lattice_overflow_warns(tmp_path):
-    # 2^19 downsets exceed the default limit of 500000 ideals
+def test_compute_poset_antichain_fdim(tmp_path):
+    # a 19-element antichain has 2^19 downsets; pricing over its 342
+    # critical pairs never enumerates them
     doc = {"schema": "ordim/poset/1", "n": 19, "relation": []}
     path = tmp_path / "antichain.json"
     path.write_text(json.dumps(doc))
     rep = tmp_path / "rep.json"
     assert run(["compute", str(path), "--only", "fdim", "--out", str(rep)]) == 0
     report = read_json(rep)
+    assert report["params"] == {"fdim": "2"}
+    assert report["warnings"] == []
+    cert = serialize.certificate_from_json(report["certificates"]["fractional"])
+    P = serialize.poset_from_json(doc)
+    assert verify_fractional_realizer(P, cert) == (True, Fraction(2))
+
+
+def test_compute_fdim_out_of_budget_states_interval(tmp_path):
+    fam = tmp_path / "p17.json"
+    run(["gen", "pkn", "--k", "1", "--n", "7", "--out", str(fam)])
+    rep = tmp_path / "rep.json"
+    code = run(["compute", str(fam), "--only", "fdim", "--budget", "200",
+                "--out", str(rep)])
+    assert code == 4
+    report = read_json(rep)
     assert report["params"] == {}
-    assert report["warnings"] == [
-        "downset lattice too large, fractional dimension skipped"]
+    (warning,) = report["warnings"]
+    m = re.fullmatch(r"fractional dimension out of budget "
+                     r"\(proved (\d+(?:/\d+)?) <= fdim <= (\d+(?:/\d+)?)\)", warning)
+    assert m, warning
+    lower, upper = Fraction(m[1]), Fraction(m[2])
+    assert 1 <= lower <= Fraction(11, 4) <= upper
+    assert lower < upper
 
 
 def test_verify_convex_boolean_local(tmp_path):

@@ -244,6 +244,33 @@ def test_fdim_boolean_algebra():
         assert fractional_dimension(boolean_algebra(n).poset).fdim == n
 
 
+@pytest.mark.parametrize("G, value", [
+    (pkn(1, 6), Fraction(8, 3)), (pkn(1, 7), Fraction(11, 4)),
+    (pkn(2, 6), Fraction(23, 6)), (qn_pn(4)[1], 3), (qn_pn(5)[1], 3),
+    (qn_pn(6)[1], 3),
+], ids=["pkn(1,6)", "pkn(1,7)", "pkn(2,6)", "pn(4)", "pn(5)", "pn(6)"])
+def test_fdim_pinned_values(G, value):
+    res = fractional_dimension(G.poset)
+    assert res.fdim == value
+    assert verify_fractional_realizer(G.poset, res.realizer) == (True, value)
+
+
+def test_fdim_budget_gives_sound_interval():
+    # pricing nodes count against the budget over all rounds: exactly the
+    # nodes a full solve takes are enough, and any fewer give proved bounds
+    P = pkn(1, 7).poset
+    full = fractional_dimension(P)
+    assert full.fdim == Fraction(11, 4)
+    assert fractional_dimension(P, budget=full.nodes).fdim == full.fdim
+    for budget in (0, full.nodes // 10, full.nodes // 2, full.nodes - 1):
+        with pytest.raises(BudgetExceeded) as info:
+            fractional_dimension(P, budget=budget)
+        exc = info.value
+        assert 1 <= exc.lower <= full.fdim <= exc.upper
+        # the restricted LP's primal is a fractional realizer of weight upper
+        assert verify_fractional_realizer(P, exc.partial) == (True, exc.upper)
+
+
 # ---------------------------------------------------------------------------
 # the explicit fractional certificate for pkn
 
@@ -404,6 +431,14 @@ def test_analyze_budget_marks_partial():
     rep = analyze(pkn(1, 8), params=("dim", "cdim", "maxdd", "se"), budget=5)
     assert rep.dim is None
     assert any("budget" in w for w in rep.warnings)
+
+
+def test_analyze_timings_survive_budget():
+    rep = analyze(pkn(1, 7), params=("dim", "fdim"), budget=1)
+    assert rep.dim is None and rep.fdim is None
+    assert rep.warnings[0].startswith("dimension search out of budget")
+    assert rep.warnings[1].startswith("fractional dimension out of budget (proved ")
+    assert rep.timings["dim"] > 0 and rep.timings["fdim"] > 0
 
 
 def test_analyze_poset_matches_separate_solvers():

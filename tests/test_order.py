@@ -1,17 +1,21 @@
 """Core poset machinery: relations, pairs, reversibility, width, extensions."""
 
+import math
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordim import (CountExceeded, CycleError, Poset, count_linear_extensions,
-                   critical_pairs, down_degree, find_standard_example,
-                   incomparable_pairs, is_reversible,
+                   critical_pairs, down_degree, downset_lattice,
+                   find_standard_example, incomparable_pairs, is_reversible,
                    linear_extensions, max_down_degree, max_up_degree,
                    poset_from_relation, standard_example_number,
                    strict_alternating_cycles, up_degree, width)
-from ordim.order import _clique, extend_reversing
+from ordim.order import (_bits, _clique, _heaviest_reversible, extend_reversing,
+                         max_weight_reversal, pair_digraph)
 
 
 def std_example(t):
@@ -234,6 +238,53 @@ def test_longer_strict_cycle_found():
     cycles = strict_alternating_cycles(P, pairs, max_size=3)
     assert any(len(c) == 3 for c in cycles)
     assert not is_reversible(P, pairs)[0]
+
+
+# ---------------------------------------------------------------------------
+# heaviest reversible pair set, the fdim pricing step
+
+@st.composite
+def weighted_critical_pairs(draw):
+    """A poset on at most 8 elements and non-negative rational weights on its
+    critical pairs, zeros and ties included."""
+    n = draw(st.integers(1, 8))
+    edges = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    P = poset_from_relation(n, [e for e, on in zip(edges, keep) if on])
+    pairs = critical_pairs(P)
+    weight = (st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)])
+              | st.fractions(min_value=0, max_value=3, max_denominator=6))
+    weights = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    return P, pairs, weights
+
+
+def reversed_weight(pairs, weights, ext):
+    pos = {x: i for i, x in enumerate(ext)}
+    return sum((w for (a, b), w in zip(pairs, weights) if pos[a] > pos[b]),
+               Fraction(0))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(weighted_critical_pairs())
+def test_heaviest_reversible_matches_dp_and_bruteforce(case):
+    P, pairs, weights = case
+    scale = math.lcm(*(w.denominator for w in weights))
+    ints = [w.numerator * (scale // w.denominator) for w in weights]
+    M = pair_digraph(P, pairs)
+    value, members, nodes = _heaviest_reversible(M, ints)
+    best = Fraction(value, scale)
+    dp, _ = max_weight_reversal(P, pairs, weights, downset_lattice(P))
+    brute = max(reversed_weight(pairs, weights, ext) for ext in linear_extensions(P))
+    assert best == dp == brute
+    chosen = [pairs[q] for q in _bits(members)]
+    assert sum(weights[q] for q in _bits(members)) == best
+    ok, ext, _ = is_reversible(P, chosen)
+    assert ok
+    assert reversed_weight(pairs, weights, ext) >= best
+    # a search cut short bounds the optimum from above
+    for limit in ({0, nodes // 2, nodes - 1} if nodes else ()):
+        bound, cut, used = _heaviest_reversible(M, ints, limit)
+        assert cut is None and used == limit and bound >= value
 
 
 # ---------------------------------------------------------------------------
