@@ -56,14 +56,16 @@ def _check_permutation(P: Poset, seq) -> None:
 
 def is_linear_extension(P: Poset, seq) -> bool:
     """True iff seq is a permutation listing every element after all elements
-    below it. Raises MalformedCertificate when seq is not a permutation."""
+    below it. Raises MalformedCertificate when seq is not a permutation.
+
+    Only the cover pairs are checked: the order is the transitive closure of
+    its covers, so a sequence that puts every lower cover first puts every
+    smaller element first."""
     _check_permutation(P, seq)
-    placed = 0
-    for x in seq:
-        if (P.down[x] & ~(1 << x)) & ~placed:
-            return False
-        placed |= 1 << x
-    return True
+    pos = [0] * P.n
+    for i, x in enumerate(seq):
+        pos[x] = i
+    return all(pos[x] < pos[y] for x, y in P.covers)
 
 
 def _before_rows(P: Poset, seq):

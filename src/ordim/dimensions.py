@@ -380,16 +380,19 @@ def distinguishing_to_realizer(k: int, n: int, seq: DistinguishingSequence,
     if G is None:
         G = pkn(k, n)
     P = G.poset
-    members = _jkn_decomposed(k, n)
-    classes = []
-    for alpha in range(seq.t):
-        cls = []
-        for (i, b_elems, mmask) in members:
-            if (seq.sets[i - 1] >> alpha) & 1 and all(
-                    not (seq.sets[j - 1] >> alpha) & 1 for j in b_elems):
-                a_idx = G.member_index(1 << (i - 1))
-                cls.append((a_idx, G.member_index(mmask)))
-        classes.append(cls)
+    # carriers[alpha] has bit j-1 set iff Y_j carries alpha, so a member's
+    # test "alpha in Y_i, in no Y_j with j in B" is one AND per mask; the
+    # mask of B is the member's mask without its prefix 1..i-1
+    carriers = [0] * seq.t
+    for j, y in enumerate(seq.sets):
+        for alpha in _bits(y & ((1 << seq.t) - 1)):
+            carriers[alpha] |= 1 << j
+    members = [(1 << (i - 1), mmask & ~((1 << (i - 1)) - 1),
+                (G.member_index(1 << (i - 1)), G.member_index(mmask)))
+               for (i, _b, mmask) in _jkn_decomposed(k, n)]
+    classes = [[pair for (i_bit, b_mask, pair) in members
+                if c & i_bit and not c & b_mask]
+               for c in carriers]
     realizer = realizer_from_reversible_classes(P, classes)
     if not verify_realizer(P, realizer):
         raise AssertionError("distinguishing conversion failed to verify")

@@ -125,10 +125,10 @@ class ConvexGeometry:
 
     def upper_cover(self, i: int) -> int:
         """The unique poset index covering meet-irreducible i."""
-        mask = self.poset.up_covers[i]
-        if mask.bit_count() != 1:
-            raise NotMeetIrreducible(f"member {i} has up-degree {mask.bit_count()}")
-        return mask.bit_length() - 1
+        above = self.poset.cover_succ[i]
+        if len(above) != 1:
+            raise NotMeetIrreducible(f"member {i} has up-degree {len(above)}")
+        return above[0]
 
 
 def validate_convex_geometry(family: SetFamily) -> ConvexGeometry:
@@ -316,8 +316,11 @@ def check_boolean_property(P: Poset):
     convex geometry posets; fails on non-meet-distributive lattices. Returns
     (True, None) or (False, witness_index).
     """
+    lower = [[] for _ in range(P.n)]
+    for x, y in P.covers:
+        lower[y].append(x)
     for y in range(P.n):
-        covs = list(_bits(P.down_covers[y]))
+        covs = lower[y]
         m = len(covs)
         if m == 0:
             continue
@@ -404,7 +407,7 @@ def maximal_chains(G: ConvexGeometry) -> list:
         if i == top:
             out.append(tuple(path))
             return
-        for j in _bits(G.poset.up_covers[i]):
+        for j in G.poset.cover_succ[i]:
             added = G.masks[j] & ~G.masks[i]
             path.append(added.bit_length())  # single added element, 1-based
             rec(j)

@@ -92,18 +92,20 @@ class Poset:
         return tuple(out)
 
     @cached_property
-    def up_covers(self) -> tuple:
-        adj = [0] * self.n
+    def cover_succ(self) -> tuple:
+        """cover_succ[x] lists the upper covers of x in increasing order."""
+        adj = [[] for _ in range(self.n)]
         for x, y in self.covers:
-            adj[x] |= 1 << y
-        return tuple(adj)
+            adj[x].append(y)
+        return tuple(tuple(a) for a in adj)
 
     @cached_property
-    def down_covers(self) -> tuple:
-        adj = [0] * self.n
-        for x, y in self.covers:
-            adj[y] |= 1 << x
-        return tuple(adj)
+    def cover_indeg(self) -> tuple:
+        """cover_indeg[y] counts the lower covers of y."""
+        deg = [0] * self.n
+        for _, y in self.covers:
+            deg[y] += 1
+        return tuple(deg)
 
     def is_chain(self) -> bool:
         return all(self.up[x].bit_count() + self.down[x].bit_count() == self.n + 1
@@ -157,19 +159,19 @@ def poset_from_up_rows(up: Sequence[int], labels=None) -> Poset:
 
 
 def down_degree(P: Poset, y: int) -> int:
-    return P.down_covers[y].bit_count()
+    return P.cover_indeg[y]
 
 
 def up_degree(P: Poset, x: int) -> int:
-    return P.up_covers[x].bit_count()
+    return len(P.cover_succ[x])
 
 
 def max_down_degree(P: Poset) -> int:
-    return max((m.bit_count() for m in P.down_covers), default=0)
+    return max(P.cover_indeg, default=0)
 
 
 def max_up_degree(P: Poset) -> int:
-    return max((m.bit_count() for m in P.up_covers), default=0)
+    return max(map(len, P.cover_succ), default=0)
 
 
 def incomparable_pairs(P: Poset):
@@ -286,22 +288,26 @@ def extend_reversing(P: Poset, pairs: Sequence):
     """Linear extension of P placing b before a for every pair (a, b), or None.
 
     Kahn's algorithm over cover arcs plus the reversal arcs b -> a, smallest
-    index first for determinism.
+    index first for determinism. Arcs are walked as index lists; a repeated
+    arc raises an in-degree once per copy and is walked once per copy, so
+    every element is released at the same step as with distinct arcs.
     """
     n = P.n
-    succ = list(P.up_covers)
-    pred = list(P.down_covers)
+    succ = list(P.cover_succ)
+    indeg = list(P.cover_indeg)
+    extra = {}
     for a, b in pairs:
-        succ[b] |= 1 << a
-        pred[a] |= 1 << b
-    indeg = [pred[y].bit_count() for y in range(n)]
+        extra.setdefault(b, []).append(a)
+        indeg[a] += 1
+    for b, more in extra.items():
+        succ[b] += tuple(more)
     heap = [x for x in range(n) if indeg[x] == 0]
     heapq.heapify(heap)
     out = []
     while heap:
         x = heapq.heappop(heap)
         out.append(x)
-        for y in _bits(succ[x]):
+        for y in succ[x]:
             indeg[y] -= 1
             if indeg[y] == 0:
                 heapq.heappush(heap, y)

@@ -115,7 +115,7 @@ def _pkn_rows(inst: Instance, rep: DimensionReport, checks) -> List[CheckRow]:
         dd_ok = True
         for i in range(len(G.masks)):
             size = bin(G.masks[i]).count("1")
-            dd = bin(G.poset.down_covers[i]).count("1")
+            dd = G.poset.cover_indeg[i]
             want = 0 if size == 0 else (1 if size == 1 else min(size, k + 1))
             if dd != want:
                 dd_ok = False

@@ -1,13 +1,17 @@
 """Certificate verifiers checked straight against the definitions."""
 
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from ordim import (BooleanRealizer, FractionalRealizer, LocalRealizer,
-                   MalformedCertificate, Realizer, poset_from_relation,
-                   verify_boolean_realizer, verify_fractional_realizer,
-                   verify_local_realizer, verify_realizer)
+                   MalformedCertificate, Realizer, linear_extensions,
+                   poset_from_relation, verify_boolean_realizer,
+                   verify_fractional_realizer, verify_local_realizer,
+                   verify_realizer)
+from ordim.certificates import is_linear_extension
 
 
 def std_example(t):
@@ -115,3 +119,33 @@ def test_fractional_realizer_fractional_optimum():
     FR = FractionalRealizer(tuple((e, Fraction(1)) for e in exts))
     ok, total = verify_fractional_realizer(P, FR)
     assert ok and total == 2
+
+
+def extension_by_definition(P, seq):
+    """Every pair x < y of P appears in seq with x first."""
+    pos = {x: i for i, x in enumerate(seq)}
+    return all(pos[x] < pos[y] for x in range(P.n) for y in range(P.n)
+               if P.lt(x, y))
+
+
+def test_is_linear_extension_matches_all_pairs_definition():
+    rng = random.Random(71)
+    verdicts = set()
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        P = poset_from_relation(n, [(perm[i], perm[j]) for i in range(n)
+                                    for j in range(i + 1, n)
+                                    if rng.random() < 0.3])
+        seqs = [rng.sample(range(n), n) for _ in range(5)]
+        seqs += [list(ext) for ext in islice(linear_extensions(P), 5)]
+        for seq in seqs:
+            want = extension_by_definition(P, seq)
+            assert is_linear_extension(P, seq) == want, (P, seq)
+            verdicts.add(want)
+        for bad in (seqs[0][:-1], seqs[0] + [0], [n] + seqs[0][1:],
+                    [seqs[0][0]] * n if n > 1 else [1]):
+            with pytest.raises(MalformedCertificate):
+                is_linear_extension(P, bad)
+    assert verdicts == {True, False}

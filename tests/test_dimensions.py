@@ -18,7 +18,9 @@ from ordim import (BudgetExceeded, InvalidRealizer, MaxTriesExceeded,
                    realizer_to_distinguishing, set_to_mask,
                    standard_example_number, verify_distinguishing,
                    verify_fractional_realizer, verify_realizer)
+from ordim.constructions import jkn
 from ordim.dimensions import DimensionReport, DistinguishingSequence
+from ordim.order import extend_reversing
 from ordim.serialize import report_to_json
 from ordim.simplex import solve_covering
 
@@ -343,6 +345,44 @@ def test_distinguishing_to_realizer_rejects_bad_sequence():
     with pytest.raises(NotDistinguishing):
         distinguishing_to_realizer(
             1, 4, DistinguishingSequence(1, 4, 2, (0, 0, 0, 0)))
+
+
+def realizer_by_class_rule(k, n, seq, G):
+    """Mark alpha reverses the critical pair ({i}, prefix+B) of every member
+    with alpha in Y_i and in no Y_j for j in B; one extension per mark."""
+    P = G.poset
+    members = []
+    for mask in jkn(k, n).masks:
+        i = 1
+        while (mask >> (i - 1)) & 1:
+            i += 1
+        members.append((i, [j for j in range(i + 1, n + 1) if (mask >> (j - 1)) & 1],
+                        mask))
+    exts = []
+    for alpha in range(1, seq.t + 1):
+        cls = [(G.member_index(1 << (i - 1)), G.member_index(mask))
+               for i, b_elems, mask in members
+               if alpha in seq.set_of(i)
+               and all(alpha not in seq.set_of(j) for j in b_elems)]
+        exts.append(extend_reversing(P, cls))
+    return Realizer(tuple(exts))
+
+
+def test_distinguishing_to_realizer_matches_class_rule():
+    cases = [(1, n, binary_distinguishing(n)) for n in (3, 5, 8)]
+    for k, n, seed in [(1, 4, 0), (1, 6, 1), (1, 9, 2), (2, 5, 3), (2, 6, 4),
+                       (2, 8, 5)]:
+        cases.append((k, n, randomized_distinguishing(k, n, seed=seed)[0]))
+    for k, n, seq in cases:
+        G = pkn(k, n)
+        assert distinguishing_to_realizer(k, n, seq, G=G) == \
+            realizer_by_class_rule(k, n, seq, G)
+    # emptying Y_1 leaves every member without 1 with no mark of its own
+    k, n, seq = cases[-1]
+    bad = DistinguishingSequence(k, n, seq.t, (0,) + seq.sets[1:])
+    assert not verify_distinguishing(k, n, bad)[0]
+    with pytest.raises(NotDistinguishing):
+        distinguishing_to_realizer(k, n, bad, G=pkn(k, n))
 
 
 def test_realizer_to_distinguishing_rejects_bad_realizer():

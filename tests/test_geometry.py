@@ -179,6 +179,15 @@ def test_poset_rows_and_covers_match_inclusion_scan():
         assert G.join_irr == tuple(y for y in range(m) if below[y] == 1)
 
 
+def test_validated_covers_match_generic_scan():
+    # is_linear_extension checks only these pairs, so they must be exactly
+    # the covers that the generic scan of the order finds
+    for seed in range(40):
+        n, t = 4 + seed % 7, 1 + seed % 4
+        G = validate_convex_geometry(random_geometry(n, t, seed).family)
+        assert G.poset.covers == G.poset._scan_covers()
+
+
 def test_import_leaves_numpy_unloaded(fresh_python):
     out = fresh_python("import sys, ordim; print('numpy' in sys.modules)")
     assert out.returncode == 0, out.stderr

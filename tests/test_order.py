@@ -1,5 +1,6 @@
 """Core poset machinery: relations, pairs, reversibility, width, extensions."""
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -360,6 +361,64 @@ def test_extend_reversing_respects_order():
             for y in range(P.n):
                 if P.lt(x, y):
                     assert pos[x] < pos[y]
+
+
+def extend_reversing_bitmask(P, pairs):
+    """Reference Kahn walk on successor and predecessor bitmasks, where a
+    repeated arc sets the same bit twice."""
+    n = P.n
+    succ, pred = [0] * n, [0] * n
+    for x, y in P.covers:
+        succ[x] |= 1 << y
+        pred[y] |= 1 << x
+    for a, b in pairs:
+        succ[b] |= 1 << a
+        pred[a] |= 1 << b
+    indeg = [pred[y].bit_count() for y in range(n)]
+    heap = [x for x in range(n) if indeg[x] == 0]
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        x = heapq.heappop(heap)
+        out.append(x)
+        for y in _bits(succ[x]):
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                heapq.heappush(heap, y)
+    return tuple(out) if len(out) == n else None
+
+
+def shuffled_poset(rng, n):
+    """random_poset with its elements relabelled, so that index order is
+    not a linear extension."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pairs = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.3]
+    return poset_from_relation(n, pairs)
+
+
+def test_extend_reversing_matches_bitmask_walk():
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(300):
+        P = shuffled_poset(rng, rng.randint(1, 9))
+        inc = incomparable_pairs(P)
+        comp = [(x, y) for x in range(P.n) for y in range(P.n) if P.lt(x, y)]
+        # (y, x) for a cover x < y puts x before y: the cover arc again
+        cover_arcs = [(y, x) for x, y in P.covers]
+        picks = rng.sample(inc, rng.randint(0, min(4, len(inc))))
+        cases = [[], picks, picks + picks[:2], picks + cover_arcs,
+                 rng.sample(cover_arcs, min(3, len(cover_arcs))) * 2]
+        if comp:
+            cases.append(picks + [rng.choice(comp)])
+        for pairs in cases:
+            want = extend_reversing_bitmask(P, pairs)
+            assert extend_reversing(P, pairs) == want, (P, pairs)
+            outcomes.add(want is None)
+            if comp and pairs and pairs[-1] in comp:
+                assert want is None
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
