@@ -7,6 +7,7 @@ solvers and work straight from the definitions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -145,24 +146,34 @@ def verify_boolean_realizer(P: Poset, cert: BooleanRealizer) -> bool:
 
 
 def verify_fractional_realizer(P: Poset, cert: FractionalRealizer):
-    """Returns (verdict, total weight). Every ordered incomparable pair must
-    collect reversing weight at least 1; arithmetic is exact."""
+    """Returns (verdict, total weight). Every ordered incomparable pair (a, b)
+    must collect weight at least 1 from the extensions that put b before a.
+
+    Arithmetic is exact and in integers: with D the lcm of the weight
+    denominators every D*w is an integer, so a sum of weights is >= 1 iff the
+    sum of the scaled weights is >= D."""
     for ext, w in cert.weighted:
         if not isinstance(w, (Fraction, int)) or w < 0:
             raise MalformedCertificate(f"weight {w!r} is not a nonnegative rational")
-    total = cert.total_weight()
+    D = math.lcm(*(w.denominator for _, w in cert.weighted))
+    scaled = [(ext, w.numerator * (D // w.denominator)) for ext, w in cert.weighted]
+    total = Fraction(sum(W for _, W in scaled), D)
     for ext, _ in cert.weighted:
         if not is_linear_extension(P, ext):
             return False, total
-    rows = [_before_rows(P, ext) for ext, _ in cert.weighted]
+    # cover[a][b] = D times the weight of the extensions placing b before a
+    cover = [[0] * P.n for _ in range(P.n)]
+    for ext, W in scaled:
+        if W:
+            for i, a in enumerate(ext):
+                row = cover[a]
+                for b in ext[:i]:
+                    row[b] += W
+    full = (1 << P.n) - 1
     for a in range(P.n):
-        comp = P.up[a] | P.down[a]
-        for b in _bits(~comp & ((1 << P.n) - 1)):
-            cover = Fraction(0)
-            for (ext, w), r in zip(cert.weighted, rows):
-                if w and (r[b] >> a) & 1:   # b before a: pair (a, b) reversed
-                    cover += w
-            if cover < 1:
+        row = cover[a]
+        for b in _bits(full & ~(P.up[a] | P.down[a])):
+            if row[b] < D:
                 return False, total
     return True, total
 

@@ -37,11 +37,24 @@ SCHEMAS = {
 @contextmanager
 def _shape(kind: str):
     """Read a `kind` document: a value of the wrong shape (not an object, a
-    missing field, a field of the wrong type) raises MalformedCertificate."""
+    missing field, a field of the wrong type) or a number that cannot be
+    read exactly (an infinite weight, a zero denominator) raises
+    MalformedCertificate."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, AttributeError, KeyError, TypeError,
+            ValueError) as exc:
         raise MalformedCertificate(f"malformed {kind} document: {exc!r}") from exc
+
+
+def _indices(seq) -> tuple:
+    """seq as a tuple of element indices. JSON 0.0 and true would pass a
+    permutation check (0.0 == 0, true == 1) and then fail, or be misread,
+    as an index, so every entry must be an int proper."""
+    out = tuple(seq)
+    if not all(type(x) is int for x in out):
+        raise MalformedCertificate(f"malformed element list {seq!r}: not all ints")
+    return out
 
 
 def dumps(obj: dict) -> str:
@@ -145,17 +158,17 @@ def certificate_from_json(doc: dict):
     with _shape("certificate"):
         schema = doc.get("schema", "")
         if schema == SCHEMAS["realizer"]:
-            return Realizer(tuple(tuple(e) for e in doc["extensions"]))
+            return Realizer(tuple(_indices(e) for e in doc["extensions"]))
         if schema == SCHEMAS["convex"]:
-            return ConvexRealizer(tuple(tuple(p) for p in doc["perms"]))
+            return ConvexRealizer(tuple(_indices(p) for p in doc["perms"]))
         if schema == SCHEMAS["local"]:
-            return LocalRealizer(tuple(tuple(p) for p in doc["ples"]))
+            return LocalRealizer(tuple(_indices(p) for p in doc["ples"]))
         if schema == SCHEMAS["boolean"]:
-            return BooleanRealizer(tuple(tuple(o) for o in doc["orders"]),
+            return BooleanRealizer(tuple(_indices(o) for o in doc["orders"]),
                                    frozenset(doc["tau"]))
         if schema == SCHEMAS["fractional"]:
             return FractionalRealizer(tuple(
-                (tuple(item["extension"]), Fraction(item["weight"]))
+                (_indices(item["extension"]), Fraction(item["weight"]))
                 for item in doc["weighted"]))
         if schema == SCHEMAS["distinguishing"]:
             sets = tuple(sum(1 << (m - 1) for m in marks) for marks in doc["sets"])

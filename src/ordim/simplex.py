@@ -89,17 +89,19 @@ def solve_covering(columns: Sequence[int], nrows: int) -> Tuple[Fraction, list, 
         basis[leave] = enter
         D = p
 
+    # strong duality and primal feasibility are cheap, check them always, in
+    # integers over D: y_j = T[i][-1] / D for the row i where y_j is basic,
+    # f_i = cost_row[nrows + i] / D (cost_row[-1] holds the objective)
     y = [ZERO] * nrows
+    dual_sum = 0
     for i in range(m):
         if basis[i] < nrows:
             y[basis[i]] = Fraction(T[i][-1], D)
-    f = [Fraction(cost_row[nrows + i], D) for i in range(m)]
-    opt = sum(y, ZERO)
-    # strong duality and primal feasibility are cheap, check them always
-    if sum(f, ZERO) != opt:
+            dual_sum += T[i][-1]
+    weights = cost_row[nrows:-1]
+    if sum(weights) != dual_sum:
         raise ArithmeticError("primal/dual objective mismatch")
     for j in range(nrows):
-        cover = sum((f[i] for i in range(m) if (columns[i] >> j) & 1), ZERO)
-        if cover < 1:
+        if sum(w for w, c in zip(weights, columns) if (c >> j) & 1) < D:
             raise ArithmeticError(f"extracted primal leaves row {j} uncovered")
-    return opt, y, f
+    return Fraction(dual_sum, D), y, [Fraction(w, D) for w in weights]

@@ -1,10 +1,12 @@
 """Certificate verifiers checked straight against the definitions."""
 
+import math
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordim import (BooleanRealizer, FractionalRealizer, LocalRealizer,
                    MalformedCertificate, Realizer, linear_extensions,
@@ -119,6 +121,85 @@ def test_fractional_realizer_fractional_optimum():
     FR = FractionalRealizer(tuple((e, Fraction(1)) for e in exts))
     ok, total = verify_fractional_realizer(P, FR)
     assert ok and total == 2
+
+
+def pair_covers(P, weighted):
+    """{(a, b): weight of the extensions putting b before a} over the
+    ordered incomparable pairs."""
+    positions = [{x: i for i, x in enumerate(ext)} for ext, _ in weighted]
+    return {(a, b): sum((w for (_, w), pos in zip(weighted, positions)
+                         if pos[b] < pos[a]), Fraction(0))
+            for a in range(P.n) for b in range(P.n)
+            if a != b and P.incomparable(a, b)}
+
+
+def fractional_verdict_by_fractions(P, cert):
+    """Reference for verify_fractional_realizer, summing in Fractions."""
+    total = sum((w for _, w in cert.weighted), Fraction(0))
+    if not all(is_linear_extension(P, ext) for ext, _ in cert.weighted):
+        return False, total
+    return all(c >= 1 for c in pair_covers(P, cert.weighted).values()), total
+
+
+def extension_by_priority(P, perm):
+    """The linear extension that places, at each step, the element earliest
+    in perm among those whose smaller elements are all placed."""
+    rank = {x: i for i, x in enumerate(perm)}
+    placed, out = 0, []
+    while len(out) < P.n:
+        x = min((x for x in range(P.n) if not (placed >> x) & 1
+                 and not P.down[x] & ~(placed | 1 << x)), key=rank.get)
+        out.append(x)
+        placed |= 1 << x
+    return tuple(out)
+
+
+@st.composite
+def fractional_certificates(draw):
+    """A poset on 1..7 elements and weighted sequences: linear extensions and
+    now and then a permutation that need not be one, with weights 0, ints
+    and fractions of unrelated denominators. Some get an extension for each
+    unreversed pair and are rescaled so that the least covered incomparable
+    pair collects exactly 1, and some of those then lose 1/D from that pair,
+    D the lcm of the rescaled weight denominators."""
+    n = draw(st.integers(1, 7))
+    edges = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    P = poset_from_relation(n, [e for e, on in zip(edges, keep) if on])
+    weight = (st.sampled_from([0, 1, 2, Fraction(0), Fraction(1, 2)])
+              | st.fractions(min_value=0, max_value=2, max_denominator=12))
+    weighted = []
+    for _ in range(draw(st.integers(0, 6))):
+        perm = draw(st.permutations(range(n)))
+        seq = perm if draw(st.integers(0, 9)) == 0 else extension_by_priority(P, perm)
+        weighted.append((tuple(seq), draw(weight)))
+    mode = draw(st.sampled_from(["as drawn", "exactly 1", "1 - 1/D"]))
+    if mode != "as drawn":
+        # give every unreversed pair (a, b) an extension placing b before a
+        for (a, b), cover in pair_covers(P, weighted).items():
+            if not cover:
+                rest = [x for x in range(n) if x not in (a, b)]
+                weighted.append((extension_by_priority(P, [b, *rest, a]),
+                                 draw(weight.filter(bool))))
+    covers = pair_covers(P, weighted)
+    if mode != "as drawn" and covers:
+        (a, b), low = min(covers.items(), key=lambda item: item[1])
+        weighted = [(ext, w / low) for ext, w in weighted]
+        if mode == "1 - 1/D":
+            D = math.lcm(*(w.denominator for _, w in weighted))
+            i = next(i for i, (ext, w) in enumerate(weighted)
+                     if w and ext.index(b) < ext.index(a))
+            weighted[i] = (weighted[i][0], weighted[i][1] - Fraction(1, D))
+    return P, FractionalRealizer(tuple(weighted))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(fractional_certificates())
+def test_fractional_realizer_matches_fraction_sums(case):
+    P, cert = case
+    ok, total = verify_fractional_realizer(P, cert)
+    assert (ok, total) == fractional_verdict_by_fractions(P, cert)
+    assert type(total) is Fraction
 
 
 def extension_by_definition(P, seq):

@@ -64,25 +64,36 @@ def test_malformed_input_exit_code(tmp_path):
 
 
 P14 = {"schema": "ordim/setfamily/1", "ground": 2, "sets": [[], [1], [1, 2]]}
+REALIZER = '{"schema": "ordim/certificate/realizer/1", "extensions": [%s]}'
+FRACTIONAL = ('{"schema": "ordim/certificate/fractional/1", '
+              '"weighted": [{"extension": %s, "weight": %s}]}')
 
 
 @pytest.mark.parametrize("doc, cert, argv", [
     ([P14], None, ["compute"]),
     (P14, {"schema": "ordim/certificate/realizer/1"},
      ["verify", "--kind", "realizer"]),
-    (P14, {"schema": "ordim/certificate/fractional/1",
-           "weighted": [{"extension": [0, 1, 2], "weight": "abc"}]},
-     ["verify", "--kind", "fractional"]),
+    (P14, FRACTIONAL % ("[0, 1, 2]", '"abc"'), ["verify", "--kind", "fractional"]),
     ({"schema": "ordim/setfamily/1", "ground": 2}, None, ["compute"]),
+    (P14, FRACTIONAL % ("[0, 1, 2]", "Infinity"), ["verify", "--kind", "fractional"]),
+    (P14, FRACTIONAL % ("[0, 1, 2]", "1e400"), ["verify", "--kind", "fractional"]),
+    (P14, FRACTIONAL % ("[0, 1, 2]", '"1/0"'), ["verify", "--kind", "fractional"]),
+    (P14, REALIZER % "[0.0, 1, 2]", ["verify", "--kind", "realizer"]),
+    (P14, REALIZER % "[true, 0, 2]", ["verify", "--kind", "realizer"]),
+    (P14, FRACTIONAL % ("[0.0, 1, 2]", '"1"'), ["verify", "--kind", "fractional"]),
 ], ids=["top-level-array", "realizer-without-extensions",
-        "non-numeric-weight", "family-without-sets"])
+        "non-numeric-weight", "family-without-sets", "infinite-weight",
+        "overflowing-weight", "zero-denominator-weight", "realizer-float-entry",
+        "realizer-bool-entry", "fractional-float-entry"])
 def test_malformed_documents_exit_2(tmp_path, capsys, doc, cert, argv):
+    """cert is a JSON object, or raw JSON text for what json.dumps cannot
+    write (1e400) or writes only from a value the test would have to build."""
     fam = tmp_path / "input.json"
     fam.write_text(json.dumps(doc))
     args = [argv[0], str(fam)]
     if cert is not None:
         path = tmp_path / "cert.json"
-        path.write_text(json.dumps(cert))
+        path.write_text(cert if isinstance(cert, str) else json.dumps(cert))
         args.append(str(path))
     assert run(args + argv[1:]) == 2
     assert "malformed" in capsys.readouterr().err
