@@ -50,7 +50,9 @@ class FractionalRealizer:
 
 
 def _check_permutation(P: Poset, seq) -> None:
-    if len(seq) != P.n or set(seq) != set(range(P.n)):
+    # 0.0 == 0 and True == 1: only ints proper can serve as indices
+    if (len(seq) != P.n or set(map(type, seq)) - {int}
+            or not set(seq).issuperset(range(P.n))):
         raise MalformedCertificate(
             f"expected a permutation of 0..{P.n - 1}, got {seq!r}")
 
@@ -101,7 +103,8 @@ def verify_local_realizer(P: Poset, cert: LocalRealizer):
     mult = [0] * P.n
     pos_list = []
     for ple in cert.ples:
-        if len(set(ple)) != len(ple) or any(not 0 <= x < P.n for x in ple):
+        if any(type(x) is not int or not 0 <= x < P.n for x in ple) or (
+                len(set(ple)) != len(ple)):
             raise MalformedCertificate(f"bad partial extension {ple!r}")
         pos = {x: i for i, x in enumerate(ple)}
         for u in ple:
@@ -133,8 +136,8 @@ def verify_boolean_realizer(P: Poset, cert: BooleanRealizer) -> bool:
     for order in cert.orders:
         _check_permutation(P, order)
     for s in cert.tau:
-        if len(s) != t or set(s) - {"0", "1"}:
-            raise MalformedCertificate(f"bad query string {s!r}")
+        if type(s) is not str or len(s) != t or set(s) - {"0", "1"}:
+            raise MalformedCertificate(f"malformed query string {s!r}")
     orders_pos = [{x: i for i, x in enumerate(order)} for order in cert.orders]
     for x in range(P.n):
         for y in range(P.n):

@@ -4,8 +4,11 @@ Order dimension is computed by covering critical pairs with reversible
 classes (iterative deepening with incremental acyclicity pruning), convex
 dimension by the width of the meet-irreducible subposet, and fractional
 dimension by an exact rational LP with column generation priced by a
-branch and bound over reversible sets of critical pairs. Every returned
-number carries a certificate its verifier accepts.
+branch and bound over reversible sets of critical pairs. `dim`, `se` and
+`fdim` read their pairs from `order.critical_pairs`, for posets and
+geometries alike: extensions reversing every critical pair reverse every
+incomparable pair (Trotter 1992). Every returned number carries a
+certificate its verifier accepts; one that fails raises AssertionError.
 """
 
 from __future__ import annotations
@@ -24,12 +27,11 @@ from .certificates import (BooleanRealizer, FractionalRealizer, Realizer,
 from .constructions import jkn, pkn, _check_kn
 from .errors import (BudgetExceeded, InvalidRealizer, MaxTriesExceeded,
                      NotDistinguishing, ParamRange)
-from .geometry import (ConvexGeometry, ConvexRealizer, geometry_critical_pairs,
-                       mask_to_set, verify_convex_realizer)
-from .order import (Poset, WidthResult, _adds_cycle, _bits, _clique,
-                    _heaviest_reversible, critical_pairs, extend_reversing,
-                    incomparable_pairs, max_down_degree, pair_digraph,
-                    standard_example_number, width)
+from .geometry import (ConvexGeometry, ConvexRealizer, mask_to_set,
+                       verify_convex_realizer)
+from .order import (Poset, _adds_cycle, _bits, _clique, _heaviest_reversible,
+                    critical_pairs, extend_reversing, max_down_degree,
+                    pair_digraph, standard_example_number, width)
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +55,7 @@ class DimResult:
     lower_bound_clique: int
 
 
-def dm_dimension(P: Poset, budget: Optional[int] = None,
-                 crit: Optional[Sequence] = None) -> DimResult:
+def dm_dimension(P: Poset, budget: Optional[int] = None) -> DimResult:
     """Exact order dimension with a verified realizer.
 
     Iterative deepening on the number of classes; pairs are assigned
@@ -63,7 +64,7 @@ def dm_dimension(P: Poset, budget: Optional[int] = None,
     tried. Budget counts search tree nodes; exceeding it raises
     BudgetExceeded with the bounds proven so far.
     """
-    pairs = list(crit) if crit is not None else critical_pairs(P)
+    pairs = critical_pairs(P)
     if not pairs:
         ext = extend_reversing(P, [])
         return DimResult(1, Realizer((ext,)), 0, 1)
@@ -122,9 +123,7 @@ def dm_dimension(P: Poset, budget: Optional[int] = None,
 @dataclass
 class CdimResult:
     cdim: int
-    realizer: Optional[ConvexRealizer]
-    width_result: WidthResult
-    verified: bool
+    realizer: ConvexRealizer
 
 
 def _interpolate_chain(G: ConvexGeometry, chain_masks: Sequence[int]) -> tuple:
@@ -150,20 +149,17 @@ def _interpolate_chain(G: ConvexGeometry, chain_masks: Sequence[int]) -> tuple:
 def convex_dimension(G: ConvexGeometry) -> CdimResult:
     """Convex dimension = width of the meet-irreducibles, with a realizer.
 
-    Each chain of the minimum chain cover is extended to a maximal chain of
-    the geometry and converted to its compatible order; the join of the
-    resulting linear geometries is verified to reproduce the family. If that
-    verification ever failed the width value would still stand, and the
-    certificate would be omitted.
+    Each chain of a minimum chain cover is extended to a maximal chain of
+    the geometry and converted to its compatible order. These orders
+    realize G (Edelman-Jamison 1985); verify_convex_realizer checks it, and
+    a failure raises AssertionError.
     """
     wr = width(G.poset, G.meet_irr)
-    if wr.width == 0:
-        # single-member family {0}=X cannot occur (ground >= 1), keep guard
-        raise AssertionError("geometry without meet-irreducibles")
     perms = tuple(_interpolate_chain(G, [G.masks[i] for i in chain])
                   for chain in wr.chains)
-    ok = verify_convex_realizer(G, perms)
-    return CdimResult(wr.width, ConvexRealizer(perms) if ok else None, wr, ok)
+    if not verify_convex_realizer(G, perms):
+        raise AssertionError("interpolated chain cover does not realize G")
+    return CdimResult(wr.width, ConvexRealizer(perms))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +170,7 @@ class FdimResult:
     fdim: Fraction
     realizer: FractionalRealizer
     duals: tuple
-    rows: tuple         # the incomparable pairs constrained in the final LP
+    rows: tuple         # the critical pairs, in the order of duals
     iterations: int
     nodes: int = 0      # pricing search nodes over all rounds
 
@@ -188,8 +184,7 @@ def _reversal_pattern(ext: tuple, rows: Sequence) -> int:
     return pat
 
 
-def fractional_dimension(P: Poset, crit: Optional[Sequence] = None,
-                         budget: Optional[int] = None) -> FdimResult:
+def fractional_dimension(P: Poset, budget: Optional[int] = None) -> FdimResult:
     """Exact fractional dimension with an optimal fractional realizer.
 
     Solves the covering LP over critical pairs by column generation. The
@@ -199,8 +194,11 @@ def fractional_dimension(P: Poset, crit: Optional[Sequence] = None,
     that is the heaviest reversible set of pairs, found by an exact branch
     and bound over the pair digraph; optimality is thus certified against
     every linear extension without enumerating them. The optimum is
-    cross-verified against all incomparable pairs; if that ever failed, the
-    violated pairs would join the constraint rows and the solve would repeat.
+    cross-verified against all incomparable pairs, and that cannot fail:
+    every incomparable pair (x, y) has a critical pair (a, b) with a <= x
+    and y <= b (Trotter 1992), and an extension that puts b before a puts
+    y before x, so weights covering the critical pairs cover every
+    incomparable pair. A failed check raises AssertionError.
 
     Budget counts pricing nodes over all rounds; exceeding it raises
     BudgetExceeded with exact bounds: upper is the restricted LP's optimum,
@@ -210,72 +208,61 @@ def fractional_dimension(P: Poset, crit: Optional[Sequence] = None,
     """
     from .simplex import solve_covering
 
-    rows = list(crit) if crit is not None else critical_pairs(P)
+    rows = critical_pairs(P)
     if not rows:
         ext = extend_reversing(P, [])
         return FdimResult(Fraction(1),
                           FractionalRealizer(((ext, Fraction(1)),)),
                           (), (), 0)
+    t = len(rows)
     M = pair_digraph(P, rows)
     nodes = 0
     lower = Fraction(0)
-
-    while True:
-        t = len(rows)
-        patterns = []
-        witnesses = []
-        seen = set()
-        for p in range(t):
-            members = 0
-            for q in [p] + [q for q in range(t) if q != p]:
-                if not (members >> q) & 1 and not _adds_cycle(M, members, q):
-                    members |= 1 << q
-            ext = extend_reversing(P, [rows[q] for q in _bits(members)])
-            pat = _reversal_pattern(ext, rows)
-            if pat not in seen:
-                seen.add(pat)
-                patterns.append(pat)
-                witnesses.append(ext)
-        iterations = 0
-        while True:
-            iterations += 1
-            opt, y, f = solve_covering(patterns, t)
-            realizer = FractionalRealizer(tuple(
-                (witnesses[i], f[i]) for i in range(len(patterns)) if f[i]))
-            scale = math.lcm(*(v.denominator for v in y))
-            weights = [v.numerator * (scale // v.denominator) for v in y]
-            price, members, used = _heaviest_reversible(
-                M, weights, None if budget is None else budget - nodes)
-            nodes += used
-            # Farley: y divided by the largest price is dual feasible
-            lower = max(lower, opt * scale / price)
-            if members is None:
-                raise BudgetExceeded(
-                    f"fractional dimension pricing exceeded {budget} nodes",
-                    lower=lower, upper=opt, partial=realizer)
-            if price <= scale:
-                break
-            ext = extend_reversing(P, [rows[q] for q in _bits(members)])
-            pat = _reversal_pattern(ext, rows)
-            if sum(weights[j] for j in _bits(pat)) != price:
-                raise AssertionError("pricing missed a heavier reversible set")
-            if pat in seen:
-                raise AssertionError("pricing returned an existing column")
+    patterns = []
+    witnesses = []
+    seen = set()
+    for p in range(t):
+        members = 0
+        for q in [p] + [q for q in range(t) if q != p]:
+            if not (members >> q) & 1 and not _adds_cycle(M, members, q):
+                members |= 1 << q
+        ext = extend_reversing(P, [rows[q] for q in _bits(members)])
+        pat = _reversal_pattern(ext, rows)
+        if pat not in seen:
             seen.add(pat)
             patterns.append(pat)
             witnesses.append(ext)
-        ok, total = verify_fractional_realizer(P, realizer)
-        if ok:
-            if total != opt:
-                raise AssertionError("realizer total differs from LP optimum")
-            return FdimResult(opt, realizer, tuple(y), tuple(rows), iterations,
-                              nodes)
-        # defensive path: constrain every incomparable pair and resolve
-        all_inc = incomparable_pairs(P)
-        if len(rows) == len(all_inc):
-            raise AssertionError("LP optimum fails verification on full rows")
-        rows = all_inc
-        M = pair_digraph(P, rows)
+    iterations = 0
+    while True:
+        iterations += 1
+        opt, y, f = solve_covering(patterns, t)
+        realizer = FractionalRealizer(tuple(
+            (witnesses[i], f[i]) for i in range(len(patterns)) if f[i]))
+        scale = math.lcm(*(v.denominator for v in y))
+        weights = [v.numerator * (scale // v.denominator) for v in y]
+        price, members, used = _heaviest_reversible(
+            M, weights, None if budget is None else budget - nodes)
+        nodes += used
+        # Farley: y divided by the largest price is dual feasible
+        lower = max(lower, opt * scale / price)
+        if members is None:
+            raise BudgetExceeded(
+                f"fractional dimension pricing exceeded {budget} nodes",
+                lower=lower, upper=opt, partial=realizer)
+        if price <= scale:
+            break
+        ext = extend_reversing(P, [rows[q] for q in _bits(members)])
+        pat = _reversal_pattern(ext, rows)
+        if sum(weights[j] for j in _bits(pat)) != price:
+            raise AssertionError("pricing missed a heavier reversible set")
+        if pat in seen:
+            raise AssertionError("pricing returned an existing column")
+        seen.add(pat)
+        patterns.append(pat)
+        witnesses.append(ext)
+    if verify_fractional_realizer(P, realizer) != (True, opt):
+        raise AssertionError("LP optimum's realizer fails verification")
+    return FdimResult(opt, realizer, tuple(y), tuple(rows), iterations, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +572,8 @@ def analyze(X: ConvexGeometry | Poset, params: Optional[Sequence[str]] = None,
     """
     if isinstance(X, ConvexGeometry):
         kind, supported, P = "geometry", GEOMETRY_PARAMS, X.poset
-        crit = geometry_critical_pairs(X)
     else:
         kind, supported, P = "poset", POSET_PARAMS, X
-        crit = critical_pairs(P)
     if params is None:
         params = supported
     bad = set(params) - set(supported)
@@ -613,11 +598,9 @@ def analyze(X: ConvexGeometry | Poset, params: Optional[Sequence[str]] = None,
         res = timed("cdim", lambda: convex_dimension(X))
         report.cdim = res.cdim
         report.convex_realizer = res.realizer
-        if not res.verified:
-            warnings.append("convex realizer synthesis failed verification")
     if "dim" in params:
         try:
-            res = timed("dim", lambda: dm_dimension(P, budget=budget, crit=crit))
+            res = timed("dim", lambda: dm_dimension(P, budget=budget))
             report.dim = res.dim
             report.realizer = res.realizer
             report.nodes = res.nodes
@@ -625,8 +608,7 @@ def analyze(X: ConvexGeometry | Poset, params: Optional[Sequence[str]] = None,
             warnings.append(f"dimension search out of budget (proved >= {exc.lower})")
     if "fdim" in params:
         try:
-            res = timed("fdim", lambda: fractional_dimension(
-                P, crit=crit, budget=budget))
+            res = timed("fdim", lambda: fractional_dimension(P, budget=budget))
             report.fdim = res.fdim
             report.fractional_realizer = res.realizer
         except BudgetExceeded as exc:

@@ -384,12 +384,14 @@ def linear_geometry_masks(perm: Sequence[int]) -> list:
 
 
 def verify_convex_realizer(G: ConvexGeometry, perms: Sequence[Sequence[int]]) -> bool:
-    """True iff the joined initial-segment families equal the geometry exactly."""
+    """True iff every perm orders 1..n (as ints proper: 1.0 and True are
+    not) and the joined initial-segment families equal the geometry."""
     n = G.ground_n
     if not perms:
         return False
     for p in perms:
-        if sorted(p) != list(range(1, n + 1)):
+        if (not all(type(e) is int for e in p)
+                or sorted(p) != list(range(1, n + 1))):
             return False
     current = _join_masks(linear_geometry_masks(p) for p in perms)
     return _canonical(current) == G.masks

@@ -186,17 +186,23 @@ def incomparable_pairs(P: Poset):
 
 def critical_pairs(P: Poset):
     """Ordered pairs (a, b), incomparable, with every x < a also < b and
-    every y > b also > a."""
+    every y > b also > a, in increasing (a, b) order.
+
+    Every x < a lies below a lower cover of a, so the first condition holds
+    iff b is in above[a], the elements above all lower covers of a; dually
+    the second iff a is in below[b]. One pass over the covers builds both.
+    """
+    full = (1 << P.n) - 1
+    above = [full] * P.n
+    below = [full] * P.n
+    for x, y in P.covers:
+        above[y] &= P.up[x]
+        below[x] &= P.down[y]
     out = []
     for a in range(P.n):
-        stricta_down = P.down[a] & ~(1 << a)
-        comp = P.up[a] | P.down[a]
-        for b in _bits(~comp & ((1 << P.n) - 1)):
-            if stricta_down & ~P.down[b]:
-                continue
-            if P.up[b] & ~(1 << b) & ~P.up[a]:
-                continue
-            out.append((a, b))
+        for b in _bits(above[a] & ~(P.up[a] | P.down[a])):
+            if (below[b] >> a) & 1:
+                out.append((a, b))
     return out
 
 

@@ -57,6 +57,14 @@ def _indices(seq) -> tuple:
     return out
 
 
+def _weight(text) -> Fraction:
+    """A weight written as a string ("7/10"); a JSON number 0.7 would be
+    read as its binary double, not 7/10, so it is refused."""
+    if type(text) is not str:
+        raise MalformedCertificate(f"malformed weight {text!r}: not a string")
+    return Fraction(text)
+
+
 def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
@@ -168,7 +176,7 @@ def certificate_from_json(doc: dict):
                                    frozenset(doc["tau"]))
         if schema == SCHEMAS["fractional"]:
             return FractionalRealizer(tuple(
-                (_indices(item["extension"]), Fraction(item["weight"]))
+                (_indices(item["extension"]), _weight(item["weight"]))
                 for item in doc["weighted"]))
         if schema == SCHEMAS["distinguishing"]:
             sets = tuple(sum(1 << (m - 1) for m in marks) for marks in doc["sets"])

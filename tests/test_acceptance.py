@@ -26,8 +26,8 @@ from ordim import (Realizer, analyze, binary_distinguishing, boolean_algebra,
                    random_geometry, randomized_distinguishing,
                    realizer_to_distinguishing, standard_example_number,
                    validate_convex_geometry, vc_dimension_shattering,
-                   verify_distinguishing, verify_fractional_realizer,
-                   verify_realizer)
+                   verify_convex_realizer, verify_distinguishing,
+                   verify_fractional_realizer, verify_realizer)
 from ordim.geometry import SetFamily, check_boolean_property
 from ordim.suite import UNIVERSAL_CHECKS, Instance, run_suite
 
@@ -62,8 +62,10 @@ def test_criterion_2_cdim_binomial_formula():
     bad = []
     for k in (1, 2, 3):
         for n in range(k + 2, 10):
-            res = convex_dimension(pkn(k, n))
-            if res.cdim != math.comb(n - 1, k) or not res.verified:
+            G = pkn(k, n)
+            res = convex_dimension(G)
+            if (res.cdim != math.comb(n - 1, k)
+                    or not verify_convex_realizer(G, res.realizer.perms)):
                 bad.append((k, n, res.cdim))
     ok = not bad
     verdict(2, ok, f"cdim(pkn(k,n)) = C(n-1,k) for k<=3, n<=9 "

@@ -209,6 +209,31 @@ def extension_by_definition(P, seq):
                if P.lt(x, y))
 
 
+# on the chain 0 < 1 < 2: 0.0 == 0 and True == 1, so these pass a set
+# comparison with range(3) and then fail, or are misread, as indices
+NON_INT_SEQUENCES = [(0.0, 1, 2), (True, 0, 2)]
+NON_INT_CHECKS = {
+    "realizer": lambda P, seq: verify_realizer(P, Realizer((seq,))),
+    "linear-extension": is_linear_extension,
+    "boolean": lambda P, seq: verify_boolean_realizer(
+        P, BooleanRealizer((seq,), frozenset({"1"}))),
+    "fractional": lambda P, seq: verify_fractional_realizer(
+        P, FractionalRealizer(((seq, Fraction(1)),))),
+    "local": lambda P, seq: verify_local_realizer(P, LocalRealizer((seq,))),
+}
+
+
+@pytest.mark.parametrize("check", sorted(NON_INT_CHECKS))
+@pytest.mark.parametrize("seq", NON_INT_SEQUENCES, ids=["float", "bool"])
+def test_verifiers_reject_non_int_entries(check, seq):
+    P = poset_from_relation(3, [(0, 1), (1, 2)])
+    # the same sequence in ints is accepted (fractional and local return
+    # (True, 1): total weight and largest multiplicity)
+    assert NON_INT_CHECKS[check](P, (0, 1, 2)) in (True, (True, 1))
+    with pytest.raises(MalformedCertificate):
+        NON_INT_CHECKS[check](P, seq)
+
+
 def test_is_linear_extension_matches_all_pairs_definition():
     rng = random.Random(71)
     verdicts = set()

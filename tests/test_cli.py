@@ -67,6 +67,12 @@ P14 = {"schema": "ordim/setfamily/1", "ground": 2, "sets": [[], [1], [1, 2]]}
 REALIZER = '{"schema": "ordim/certificate/realizer/1", "extensions": [%s]}'
 FRACTIONAL = ('{"schema": "ordim/certificate/fractional/1", '
               '"weighted": [{"extension": %s, "weight": %s}]}')
+ANTICHAIN2 = {"schema": "ordim/poset/1", "n": 2, "relation": []}
+# weights 0.7 + 0.3 on [0, 1] plus 1 on [1, 0] cover the antichain exactly
+ANTICHAIN2_WEIGHTS = ('{"schema": "ordim/certificate/fractional/1", "weighted": ['
+                      '{"extension": [0, 1], "weight": %s}, '
+                      '{"extension": [0, 1], "weight": %s}, '
+                      '{"extension": [1, 0], "weight": %s}]}')
 
 
 @pytest.mark.parametrize("doc, cert, argv", [
@@ -81,10 +87,17 @@ FRACTIONAL = ('{"schema": "ordim/certificate/fractional/1", '
     (P14, REALIZER % "[0.0, 1, 2]", ["verify", "--kind", "realizer"]),
     (P14, REALIZER % "[true, 0, 2]", ["verify", "--kind", "realizer"]),
     (P14, FRACTIONAL % ("[0.0, 1, 2]", '"1"'), ["verify", "--kind", "fractional"]),
+    (ANTICHAIN2, ANTICHAIN2_WEIGHTS % ("0.7", "0.3", "1"),
+     ["verify", "--kind", "fractional"]),
+    (ANTICHAIN2, ANTICHAIN2_WEIGHTS % ('"7/10"', '"3/10"', "true"),
+     ["verify", "--kind", "fractional"]),
+    (ANTICHAIN2, {"schema": "ordim/certificate/boolean/1", "orders": [[0, 1]],
+                  "tau": [1]}, ["verify", "--kind", "boolean"]),
 ], ids=["top-level-array", "realizer-without-extensions",
         "non-numeric-weight", "family-without-sets", "infinite-weight",
         "overflowing-weight", "zero-denominator-weight", "realizer-float-entry",
-        "realizer-bool-entry", "fractional-float-entry"])
+        "realizer-bool-entry", "fractional-float-entry", "number-weights",
+        "bool-weight", "boolean-int-query-string"])
 def test_malformed_documents_exit_2(tmp_path, capsys, doc, cert, argv):
     """cert is a JSON object, or raw JSON text for what json.dumps cannot
     write (1e400) or writes only from a value the test would have to build."""
@@ -132,6 +145,16 @@ def test_verify_certificates(tmp_path):
     cert3 = tmp_path / "full.json"
     cert3.write_text(serialize.dumps(serialize.certificate_to_json(res.realizer)))
     assert run(["verify", str(fam), str(cert3), "--kind", "realizer"]) == 0
+
+
+def test_verify_fractional_string_weights(tmp_path, capsys):
+    # the weights refused as JSON numbers above are exact as strings
+    fam = tmp_path / "antichain.json"
+    fam.write_text(json.dumps(ANTICHAIN2))
+    cert = tmp_path / "cert.json"
+    cert.write_text(ANTICHAIN2_WEIGHTS % ('"7/10"', '"3/10"', '"1"'))
+    assert run(["verify", str(fam), str(cert), "--kind", "fractional"]) == 0
+    assert "total weight 2" in capsys.readouterr().out
 
 
 def test_verify_distinguishing(tmp_path):

@@ -16,8 +16,9 @@ from ordim import (BudgetExceeded, InvalidRealizer, MaxTriesExceeded,
                    linear_geometry, pkn, pkn_fractional_certificate,
                    poset_from_relation, qn_pn, randomized_distinguishing,
                    realizer_to_distinguishing, set_to_mask,
-                   standard_example_number, verify_distinguishing,
-                   verify_fractional_realizer, verify_realizer)
+                   standard_example_number, verify_convex_realizer,
+                   verify_distinguishing, verify_fractional_realizer,
+                   verify_realizer)
 from ordim.constructions import jkn
 from ordim.dimensions import DimensionReport, DistinguishingSequence
 from ordim.order import extend_reversing
@@ -109,28 +110,30 @@ def test_dim_minimality_against_bruteforce():
 
 def test_cdim_formula_pkn():
     for (k, n) in [(1, 4), (1, 5), (2, 5), (2, 6), (3, 6)]:
-        res = convex_dimension(pkn(k, n))
+        G = pkn(k, n)
+        res = convex_dimension(G)
         assert res.cdim == math.comb(n - 1, k)
-        assert res.verified and res.realizer is not None
+        assert verify_convex_realizer(G, res.realizer.perms)
 
 
 def test_cdim_linear():
-    res = convex_dimension(linear_geometry((1, 2, 3)))
-    assert res.cdim == 1 and res.verified
+    G = linear_geometry((1, 2, 3))
+    res = convex_dimension(G)
+    assert res.cdim == 1 and verify_convex_realizer(G, res.realizer.perms)
 
 
 def test_cdim_pn():
     for n in (3, 4):
-        res = convex_dimension(qn_pn(n)[1])
-        assert res.cdim == n + 1 and res.verified
+        G = qn_pn(n)[1]
+        res = convex_dimension(G)
+        assert res.cdim == n + 1 and verify_convex_realizer(G, res.realizer.perms)
 
 
 def test_cdim_realizer_verifies_for_random_joins():
-    from ordim import random_geometry, verify_convex_realizer
+    from ordim import random_geometry
     for seed in range(8):
         G = random_geometry(5, 3, seed)
         res = convex_dimension(G)
-        assert res.verified
         assert verify_convex_realizer(G, res.realizer.perms)
         assert len(res.realizer.perms) == res.cdim
 
@@ -138,11 +141,9 @@ def test_cdim_realizer_verifies_for_random_joins():
 def test_cdim_long_augmenting_paths_do_not_recurse():
     # the matcher's augmenting paths here are longer than the default
     # recursion limit, so a recursive depth-first search would fail
-    from ordim import verify_convex_realizer
     G = pkn(2, 27)
     res = convex_dimension(G)
     assert res.cdim == math.comb(26, 2) == 325
-    assert res.verified
     assert verify_convex_realizer(G, res.realizer.perms)
 
 

@@ -392,6 +392,14 @@ def test_single_order_fails_for_nonchain():
     assert not verify_convex_realizer(G, [(1, 2)])
 
 
+def test_convex_realizer_rejects_non_int_entries():
+    # 1.0 and True equal 1, so a sorted comparison alone would let them in
+    G = linear_geometry((1, 2, 3))
+    assert verify_convex_realizer(G, [(1, 2, 3)])
+    assert not verify_convex_realizer(G, [(1.0, 2, 3)])
+    assert not verify_convex_realizer(G, [(True, 2, 3)])
+
+
 def test_maximal_chain_counts():
     assert len(maximal_chains(boolean_algebra(3))) == 6
     assert len(maximal_chains(linear_geometry((3, 1, 2)))) == 1

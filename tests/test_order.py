@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ordim import (CountExceeded, CycleError, Poset, count_linear_extensions,
                    critical_pairs, down_degree, downset_lattice,
+                   enumerate_geometries,
                    find_standard_example, incomparable_pairs, is_reversible,
                    linear_extensions, max_down_degree, max_up_degree,
                    poset_from_relation, standard_example_number,
@@ -135,6 +136,45 @@ def test_critical_pairs_antichain_both_orientations():
 
 def test_critical_pairs_chain_empty():
     assert critical_pairs(chain(5)) == []
+
+
+def critical_pairs_by_definition(P):
+    """Oracle: scan every incomparable (a, b) and test the definition on the
+    full ideal of a and filter of b."""
+    out = []
+    for a in range(P.n):
+        strict_down = P.down[a] & ~(1 << a)
+        comp = P.up[a] | P.down[a]
+        for b in _bits(~comp & ((1 << P.n) - 1)):
+            if strict_down & ~P.down[b]:
+                continue
+            if P.up[b] & ~(1 << b) & ~P.up[a]:
+                continue
+            out.append((a, b))
+    return out
+
+
+@st.composite
+def relabelled_posets(draw):
+    """A poset on at most 12 elements, its relation drawn on a random
+    labelling so that covers do not follow the index order."""
+    n = draw(st.integers(0, 12))
+    edges = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    perm = draw(st.permutations(range(n)))
+    return poset_from_relation(
+        n, [(perm[x], perm[y]) for (x, y), on in zip(edges, keep) if on])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(relabelled_posets())
+def test_critical_pairs_match_definition(P):
+    assert critical_pairs(P) == critical_pairs_by_definition(P)
+
+
+def test_critical_pairs_match_definition_on_enumerated_geometries():
+    for G in enumerate_geometries(4):
+        assert critical_pairs(G.poset) == critical_pairs_by_definition(G.poset)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """JSON round trips, report determinism, DOT export."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from ordim import (MalformedCertificate, Realizer, analyze, boolean_algebra,
-                   linear_geometry, pkn, poset_from_relation)
+                   linear_geometry, pkn, poset_from_relation, qn_pn,
+                   random_geometry)
 from ordim.certificates import FractionalRealizer
 from ordim.dimensions import DistinguishingSequence, binary_distinguishing
 from ordim.geometry import ConvexRealizer
@@ -63,3 +65,49 @@ def test_dot_export():
     assert 'label="123"' in dot and 'label="∅"' in dot
     # meet-irreducibles (the three co-atoms) drawn white
     assert dot.count('fillcolor="white"') == 3
+
+
+# sha256 of the ordim/report/1 text of analyze() on each geometry and on its
+# bare poset: a change to any value, certificate or warning shows up here
+REPORT_SHA256 = {
+    "pkn(1,5)": ("ff95b991f975025d9e6ec504c29803eaa14e9c1d76111078f67d51eb2c3b2582",
+                 "a66e7ce47f2e24a60ebf53829277444df168c739020883fa3419e1d5feb50170"),
+    "pkn(1,6)": ("fef4623bc323ec4a4bd17c6a5d8fbcbebd8f598da5b60b0978e25d92a7ad0e77",
+                 "963d73bad8b7bbfeafba1da453fe97a51dc6630cbe2af6c12ee525fecdd1a32b"),
+    "pkn(2,6)": ("d05222eea5e75d917ba3329d45af9753bc32f3f0be347737281c128d9a56233a",
+                 "98d714669d5e21471602bf3eac3fafc330ec4fd31fade51ea8057d298c1cc2b8"),
+    "pn(4)": ("e6df9b5e9f5ec004118dd9aec18db280d05db656cea65a8efa09674b5a729cfc",
+              "42c9a8130fd262c66a7589f09bf6f8de05ccd83b40900496a0fc81a12c107b59"),
+    "random(5,3,1)": ("6b3fc23891b12478abe91f7548910f45cb5ebae4c1d2436527c2671e5d720105",
+                      "4b9b4d62b433c7240d85ecc283bc31c2ffd52a8abca85f18f70e22f957717c82"),
+    "random(5,3,2)": ("1f9d457b49d0f4bfd26f71e00c7413c363b40cc5f991ce426b7ba6e4c93883da",
+                      "73db47fc2f33229f6d45c6f2fff8efab594526c60c07ff77859006f989a8ff5b"),
+    "random(6,2,3)": ("76654545d7cad61d85c97049a51ae8c66002529b8c9a44a5835858f0b68c99ff",
+                      "33e957e2492aea08795df74397bc49f37302134b82973ca5ccbb23cacf8b1949"),
+    "random(6,3,4)": ("9e50be78202c66e000f7cfc11c9e2ec9fd9abdd00292450a22fdc85d18122bb4",
+                      "fc87535db4fd64d4b81331e87d1197aa63a7f1becc89a69f4361bda5271b2249"),
+    "random(7,3,5)": ("a33c5b0039399f4bc4ada5a67da61e60e45c49764cbceb2f9e2928525973cd20",
+                      "7d3a954d0ba18e5b491347015530c58d6610cb1b7096aa72a3817966330168c6"),
+    "random(8,2,6)": ("cd2ca51ce43dba6de29303c82192ea65f749cfc2751da714239c7a7ebdc93682",
+                      "4fe551eb81aa5769e4a095727682ff5f6babfe31316ca1d5bd722f6ffde47566"),
+    "random(7,4,7)": ("a40e161eab6db11d6618a0c669583a8c2afb8e56b0a63af20c6c7a76901b570c",
+                      "f1f4bc23d56949f7f9b5bdc27be33ece4d47eb58a4601ded3e244df01b25ce42"),
+}
+
+
+def _golden_geometry(name):
+    kind, args = name[:-1].split("(")
+    ints = [int(v) for v in args.split(",")]
+    if kind == "pkn":
+        return pkn(*ints)
+    if kind == "pn":
+        return qn_pn(*ints)[1]
+    return random_geometry(*ints)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_report_bytes_match_golden_hashes(name):
+    G = _golden_geometry(name)
+    got = tuple(hashlib.sha256(serialize.dumps(serialize.report_to_json(
+        analyze(X))).encode()).hexdigest() for X in (G, G.poset))
+    assert got == REPORT_SHA256[name]
