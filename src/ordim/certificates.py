@@ -156,7 +156,8 @@ def verify_fractional_realizer(P: Poset, cert: FractionalRealizer):
     denominators every D*w is an integer, so a sum of weights is >= 1 iff the
     sum of the scaled weights is >= D."""
     for ext, w in cert.weighted:
-        if not isinstance(w, (Fraction, int)) or w < 0:
+        # True == 1: a bool is a flag, not a weight
+        if type(w) is bool or not isinstance(w, (Fraction, int)) or w < 0:
             raise MalformedCertificate(f"weight {w!r} is not a nonnegative rational")
     D = math.lcm(*(w.denominator for _, w in cert.weighted))
     scaled = [(ext, w.numerator * (D // w.denominator)) for ext, w in cert.weighted]

@@ -25,27 +25,18 @@ from .certificates import (BooleanRealizer, FractionalRealizer, Realizer,
                            verify_boolean_realizer, verify_fractional_realizer,
                            verify_realizer, _before_rows)
 from .constructions import jkn, pkn, _check_kn
-from .errors import (BudgetExceeded, InvalidRealizer, MaxTriesExceeded,
-                     NotDistinguishing, ParamRange)
+from .errors import (BudgetExceeded, InvalidRealizer, MalformedCertificate,
+                     MaxTriesExceeded, NotDistinguishing, ParamRange)
 from .geometry import (ConvexGeometry, ConvexRealizer, mask_to_set,
                        verify_convex_realizer)
 from .order import (Poset, _adds_cycle, _bits, _clique, _heaviest_reversible,
                     critical_pairs, extend_reversing, max_down_degree,
-                    pair_digraph, standard_example_number, width)
+                    pair_digraph, pair_relations, standard_example_number,
+                    width)
 
 
 # ---------------------------------------------------------------------------
 # order dimension: cover critical pairs with reversible classes
-
-def _conflict_rows(M: Sequence[int], t: int) -> list:
-    """Mutual arcs in the pair digraph: p, q can never share a class."""
-    rows = [0] * t
-    for p in range(t):
-        for q in _bits(M[p]):
-            if (M[q] >> p) & 1:
-                rows[p] |= 1 << q
-    return rows
-
 
 @dataclass
 class DimResult:
@@ -69,8 +60,7 @@ def dm_dimension(P: Poset, budget: Optional[int] = None) -> DimResult:
         ext = extend_reversing(P, [])
         return DimResult(1, Realizer((ext,)), 0, 1)
     t = len(pairs)
-    M = pair_digraph(P, pairs)
-    conflicts = _conflict_rows(M, t)
+    M, conflicts, _ = pair_relations(P, pairs)
     clique = len(_clique(conflicts, t))
     order = sorted(range(t), key=lambda p: (-conflicts[p].bit_count(), p))
     nodes = 0
@@ -341,9 +331,15 @@ def verify_distinguishing(k: int, n: int, seq: DistinguishingSequence):
 
     Returns (True, None) or (False, failing_member_set). The condition for
     member prefix+B at index i: some mark of Y_i appears in no Y_j with j in B.
+    A set with a mark outside 1..t raises MalformedCertificate.
     """
     if len(seq.sets) != n:
         raise ParamRange(f"need {n} sets, got {len(seq.sets)}")
+    for i, y in enumerate(seq.sets, 1):
+        if y >> seq.t:
+            raise MalformedCertificate(
+                f"malformed distinguishing sequence: Y_{i} = {y:#b} has a "
+                f"mark outside 1..{seq.t}")
     for (i, b_elems, mmask) in _jkn_decomposed(k, n):
         union = 0
         for j in b_elems:
@@ -372,7 +368,7 @@ def distinguishing_to_realizer(k: int, n: int, seq: DistinguishingSequence,
     # mask of B is the member's mask without its prefix 1..i-1
     carriers = [0] * seq.t
     for j, y in enumerate(seq.sets):
-        for alpha in _bits(y & ((1 << seq.t) - 1)):
+        for alpha in _bits(y):
             carriers[alpha] |= 1 << j
     members = [(1 << (i - 1), mmask & ~((1 << (i - 1)) - 1),
                 (G.member_index(1 << (i - 1)), G.member_index(mmask)))

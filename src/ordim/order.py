@@ -209,21 +209,48 @@ def critical_pairs(P: Poset):
 # ---------------------------------------------------------------------------
 # reversibility of incomparable-pair sets
 
-def pair_digraph(P: Poset, pairs: Sequence) -> list:
-    """Digraph on pair indices: arc p -> q iff a_p <= b_q in P (p != q).
+def pair_relations(P: Poset, pairs: Sequence):
+    """Rows (arcs, mutual, legs) over pair indices, one bitmask per pair.
 
-    A pair set is reversible exactly when its induced subgraph is acyclic;
-    directed cycles correspond to alternating cycles among the pairs.
+    arcs[p] holds q iff q != p and a_p <= b_q: the pair digraph. mutual[p]
+    holds q iff the arcs run both ways, so no extension reverses both.
+    legs[p] is mutual[p] less the pairs sharing an element with p. For
+    incomparable pairs that is exactly the q making p, q two legs of an
+    induced standard example (a_p < b_q, a_q < b_p, a_p || a_q, b_p || b_q),
+    as mutual arcs force both incomparabilities (Trotter 1992):
+      a_p <= a_q gives a_p <= a_q <= b_p,
+      a_q <= a_p gives a_q <= a_p <= b_q,
+      b_p <= b_q gives a_q <= b_p <= b_q,
+      b_q <= b_p gives a_p <= b_q <= b_p,
+    each against a_p || b_p or a_q || b_q.
+
+    Row p depends on a_p and b_p alone, so the pairs are grouped by each
+    coordinate and every distinct a is compared with every distinct b once.
     """
-    t = len(pairs)
-    rows = [0] * t
-    for p, (ap, bp) in enumerate(pairs):
-        row = 0
-        for q, (aq, bq) in enumerate(pairs):
-            if p != q and (P.up[ap] >> bq) & 1:
-                row |= 1 << q
-        rows[p] = row
-    return rows
+    bya, byb = {}, {}          # bya[a]: the q with a_q = a; byb likewise
+    for q, (a, b) in enumerate(pairs):
+        bya[a] = bya.get(a, 0) | 1 << q
+        byb[b] = byb.get(b, 0) | 1 << q
+    above = dict.fromkeys(bya, 0)      # above[a]: the q with a <= b_q
+    below = dict.fromkeys(byb, 0)      # below[b]: the q with a_q <= b
+    for a, qa in bya.items():
+        for b, qb in byb.items():
+            if (P.up[a] >> b) & 1:
+                above[a] |= qb
+                below[b] |= qa
+    arcs, mutual, legs = [], [], []
+    for p, (a, b) in enumerate(pairs):
+        arcs.append(above[a] & ~(1 << p))
+        mutual.append(arcs[p] & below[b])
+        shared = bya[a] | bya.get(b, 0) | byb.get(a, 0) | byb[b]
+        legs.append(mutual[p] & ~shared)
+    return arcs, mutual, legs
+
+
+def pair_digraph(P: Poset, pairs: Sequence) -> list:
+    """The arcs of `pair_relations`: p -> q iff a_p <= b_q (p != q). A pair
+    set is reversible iff its induced subgraph is acyclic."""
+    return pair_relations(P, pairs)[0]
 
 
 def _adds_cycle(M, members: int, p: int) -> bool:
@@ -629,53 +656,39 @@ def max_weight_reversal(P: Poset, pairs: Sequence, weights: Sequence[Fraction],
 # ---------------------------------------------------------------------------
 # standard examples
 
-def _se_compatibility(P: Poset, pairs):
-    """Adjacency masks: pairs p, q can be two distinct legs of one standard
-    example (a_p < b_q, a_q < b_p, tops and bottoms pairwise incomparable)."""
-    t = len(pairs)
-    rows = [0] * t
-    for p in range(t):
-        ap, bp = pairs[p]
-        for q in range(p + 1, t):
-            aq, bq = pairs[q]
-            if len({ap, bp, aq, bq}) < 4:
-                continue
-            if ((P.up[ap] >> bq) & 1 and (P.up[aq] >> bp) & 1
-                    and P.incomparable(ap, aq) and P.incomparable(bp, bq)):
-                rows[p] |= 1 << q
-                rows[q] |= 1 << p
-    return rows
-
-
 def _clique(rows: Sequence[int], k: int, size: Optional[int] = None):
-    """Lowest-vertex-first branch and bound for cliques of a graph on 0..k-1.
+    """Lowest-vertex-first branch and bound for cliques of a graph on 0..k-1,
+    on an explicit stack, so a clique may be deeper than the recursion limit.
 
     rows[v] is the adjacency bitmask of v. Returns the lexicographically
     first clique of maximum size, or, when `size` is given, the first clique
     with `size` vertices (None when there is none), as a sorted list.
     """
-    pick = []
-    best = []
-
-    def grow(cand):
-        nonlocal best
+    pick, best = [], []
+    # one frame [candidates, their list, next index] per open level; the
+    # vertices taken so far are pick, one fewer than the frames
+    stack = []
+    cand = (1 << k) - 1
+    while True:
         if len(pick) > len(best):
             best = pick[:]
         if len(pick) == size:
-            return True
-        cs = list(_bits(cand))
-        for i, q in enumerate(cs):
-            if len(pick) + len(cs) - i <= len(best):
-                return False
-            pick.append(q)
-            if grow(cand & rows[q] & ~((1 << (q + 1)) - 1)):
-                return True
-            pick.pop()
-        return False
-
-    if grow((1 << k) - 1):
-        return pick
-    return best if size is None else None
+            return pick
+        stack.append([cand, list(_bits(cand)), 0])
+        while stack:
+            frame = stack[-1]
+            cand, cs, i = frame
+            if i < len(cs) and len(pick) + len(cs) - i > len(best):
+                break
+            stack.pop()
+            if pick:
+                pick.pop()
+        else:
+            return best if size is None else None
+        q = cs[i]
+        frame[2] = i + 1
+        pick.append(q)
+        cand &= rows[q] & ~((1 << (q + 1)) - 1)
 
 
 def find_standard_example(P: Poset, t: int):
@@ -689,7 +702,7 @@ def find_standard_example(P: Poset, t: int):
     if t < 2:
         raise ParamRange("standard examples need t >= 2")
     pairs = critical_pairs(P)
-    pick = _clique(_se_compatibility(P, pairs), len(pairs), t)
+    pick = _clique(pair_relations(P, pairs)[2], len(pairs), t)
     if pick is None:
         return None
     mins = tuple(pairs[i][0] for i in pick)
@@ -700,5 +713,5 @@ def find_standard_example(P: Poset, t: int):
 def standard_example_number(P: Poset) -> int:
     """Largest t >= 2 with a standard example of size t induced in P, else 1."""
     pairs = critical_pairs(P)
-    best = len(_clique(_se_compatibility(P, pairs), len(pairs)))
+    best = len(_clique(pair_relations(P, pairs)[2], len(pairs)))
     return best if best >= 2 else 1

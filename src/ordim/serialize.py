@@ -65,6 +65,19 @@ def _weight(text) -> Fraction:
     return Fraction(text)
 
 
+def _marks(seq, t: int) -> int:
+    """A set of marks as a bitmask. Marks are distinct ints proper in 1..t: a
+    repeated mark or a JSON true would otherwise be misread, and a mark
+    above t would claim more extensions than the certificate has."""
+    mask = 0
+    for m in seq:
+        if type(m) is not int or not 1 <= m <= t or (mask >> (m - 1)) & 1:
+            raise MalformedCertificate(
+                f"malformed mark list {seq!r}: not distinct ints in 1..{t}")
+        mask |= 1 << (m - 1)
+    return mask
+
+
 def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
@@ -179,9 +192,10 @@ def certificate_from_json(doc: dict):
                 (_indices(item["extension"]), _weight(item["weight"]))
                 for item in doc["weighted"]))
         if schema == SCHEMAS["distinguishing"]:
-            sets = tuple(sum(1 << (m - 1) for m in marks) for marks in doc["sets"])
-            return DistinguishingSequence(int(doc["k"]), int(doc["n"]),
-                                          int(doc["t"]), sets)
+            t = int(doc["t"])
+            return DistinguishingSequence(
+                int(doc["k"]), int(doc["n"]), t,
+                tuple(_marks(marks, t) for marks in doc["sets"]))
         raise MalformedCertificate(f"unknown certificate schema {schema!r}")
 
 

@@ -48,10 +48,10 @@ def _report_for(inst: Instance, budget: Optional[int], want_fdim: bool) -> Dimen
     return analyze(inst.geometry, params=params, budget=budget)
 
 
-def _universal_rows(inst: Instance, rep: DimensionReport, checks) -> List[CheckRow]:
+def _universal_rows(inst: Instance, rep: DimensionReport, vc: int,
+                    checks) -> List[CheckRow]:
     rows = []
     G = inst.geometry
-    vc = vc_dimension_shattering(G.family)
 
     def add(check, passed, detail):
         rows.append(CheckRow(inst.name, check, passed, detail))
@@ -95,7 +95,8 @@ def _universal_rows(inst: Instance, rep: DimensionReport, checks) -> List[CheckR
     return rows
 
 
-def _pkn_rows(inst: Instance, rep: DimensionReport, checks) -> List[CheckRow]:
+def _pkn_rows(inst: Instance, rep: DimensionReport, vc: int,
+              checks) -> List[CheckRow]:
     rows = []
     k, n = inst.params
     G = inst.geometry
@@ -122,7 +123,6 @@ def _pkn_rows(inst: Instance, rep: DimensionReport, checks) -> List[CheckRow]:
                 break
         add("Prop8.x:dd", dd_ok, "down degrees match min(|A|, k+1) profile")
     if "T1.5" in checks:
-        vc = vc_dimension_shattering(G.family)
         add("T1.5:1", vc == rep.se == k + 1, f"vcdim={vc} se={rep.se} k+1={k + 1}")
         if rep.fdim is not None:
             add("T1.5:2", rep.fdim < 2 ** (k + 1), f"fdim={rep.fdim} < {2 ** (k + 1)}")
@@ -162,9 +162,10 @@ def run_instance(inst: Instance, checks: Sequence[str],
                  budget: Optional[int] = None) -> List[CheckRow]:
     want_fdim = "Prop3.8" in checks or "T1.5" in checks
     rep = _report_for(inst, budget, want_fdim)
-    rows = _universal_rows(inst, rep, checks)
+    vc = vc_dimension_shattering(inst.geometry.family)
+    rows = _universal_rows(inst, rep, vc, checks)
     if inst.kind == "pkn":
-        rows += _pkn_rows(inst, rep, checks)
+        rows += _pkn_rows(inst, rep, vc, checks)
     if inst.kind == "pn":
         rows += _pn_rows(inst, rep, checks)
     return rows

@@ -234,6 +234,16 @@ def test_verifiers_reject_non_int_entries(check, seq):
         NON_INT_CHECKS[check](P, seq)
 
 
+def test_fractional_realizer_rejects_bool_weights():
+    # True == 1: read as weights, two Trues would cover the antichain
+    P = poset_from_relation(2, [])
+    ints = FractionalRealizer((((0, 1), 1), ((1, 0), 1)))
+    assert verify_fractional_realizer(P, ints) == (True, 2)
+    with pytest.raises(MalformedCertificate):
+        verify_fractional_realizer(
+            P, FractionalRealizer((((0, 1), True), ((1, 0), True))))
+
+
 def test_is_linear_extension_matches_all_pairs_definition():
     rng = random.Random(71)
     verdicts = set()

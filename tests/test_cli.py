@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from ordim.cli import main
-from ordim import serialize, verify_fractional_realizer
+from ordim import (binary_distinguishing, pkn, serialize,
+                   verify_fractional_realizer)
 
 
 def run(argv):
@@ -73,6 +74,9 @@ ANTICHAIN2_WEIGHTS = ('{"schema": "ordim/certificate/fractional/1", "weighted": 
                       '{"extension": [0, 1], "weight": %s}, '
                       '{"extension": [0, 1], "weight": %s}, '
                       '{"extension": [1, 0], "weight": %s}]}')
+P15 = serialize.family_to_json(pkn(1, 5).family)
+# binary_distinguishing(5): t = 3, sets [[1, 2, 3], [2, 3], [1, 3], [1, 2], [3]]
+DIST = serialize.certificate_to_json(binary_distinguishing(5))
 
 
 @pytest.mark.parametrize("doc, cert, argv", [
@@ -93,11 +97,19 @@ ANTICHAIN2_WEIGHTS = ('{"schema": "ordim/certificate/fractional/1", "weighted": 
      ["verify", "--kind", "fractional"]),
     (ANTICHAIN2, {"schema": "ordim/certificate/boolean/1", "orders": [[0, 1]],
                   "tau": [1]}, ["verify", "--kind", "boolean"]),
+    (P15, dict(DIST, t=1), ["verify", "--kind", "distinguishing"]),
+    (P15, dict(DIST, sets=[[0, 1, 2, 3]] + DIST["sets"][1:]),
+     ["verify", "--kind", "distinguishing"]),
+    (P15, dict(DIST, sets=[[True, 2, 3]] + DIST["sets"][1:]),
+     ["verify", "--kind", "distinguishing"]),
+    (P15, dict(DIST, sets=[[1, 1, 2, 3]] + DIST["sets"][1:]),
+     ["verify", "--kind", "distinguishing"]),
 ], ids=["top-level-array", "realizer-without-extensions",
         "non-numeric-weight", "family-without-sets", "infinite-weight",
         "overflowing-weight", "zero-denominator-weight", "realizer-float-entry",
         "realizer-bool-entry", "fractional-float-entry", "number-weights",
-        "bool-weight", "boolean-int-query-string"])
+        "bool-weight", "boolean-int-query-string", "marks-above-t",
+        "mark-zero", "bool-mark", "repeated-mark"])
 def test_malformed_documents_exit_2(tmp_path, capsys, doc, cert, argv):
     """cert is a JSON object, or raw JSON text for what json.dumps cannot
     write (1e400) or writes only from a value the test would have to build."""

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from ordim import (BudgetExceeded, InvalidRealizer, MaxTriesExceeded,
-                   NotDistinguishing, ParamRange, Realizer, analyze,
-                   binary_distinguishing, boolean_algebra,
+from ordim import (BudgetExceeded, InvalidRealizer, MalformedCertificate,
+                   MaxTriesExceeded, NotDistinguishing, ParamRange, Realizer,
+                   analyze, binary_distinguishing, boolean_algebra,
                    boolean_dimension_exact, convex_dimension,
                    distinguishing_to_realizer, dm_dimension,
                    fractional_dimension, incomparable_pairs, linear_extensions,
@@ -324,6 +324,19 @@ def test_equal_sets_fail():
     seq = DistinguishingSequence(1, 4, 3, (0b11, 0b11, 0b1, 0b1))
     ok, witness = verify_distinguishing(1, 4, seq)
     assert not ok
+
+
+def test_marks_above_t_are_malformed():
+    # binary_distinguishing(5) uses marks 1..3; a sequence claiming fewer
+    # marks than its sets carry is malformed, not distinguishing
+    seq = binary_distinguishing(5)
+    assert verify_distinguishing(1, 5, seq) == (True, None)
+    for t in (0, 1, 2):
+        with pytest.raises(MalformedCertificate):
+            verify_distinguishing(1, 5, DistinguishingSequence(1, 5, t, seq.sets))
+    negative = DistinguishingSequence(1, 5, 3, seq.sets[:4] + (-1,))
+    with pytest.raises(MalformedCertificate):
+        verify_distinguishing(1, 5, negative)
 
 
 def test_distinguishing_roundtrip():

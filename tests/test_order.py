@@ -17,7 +17,7 @@ from ordim import (CountExceeded, CycleError, Poset, count_linear_extensions,
                    poset_from_relation, standard_example_number,
                    strict_alternating_cycles, up_degree, width)
 from ordim.order import (_bits, _clique, _heaviest_reversible, extend_reversing,
-                         max_weight_reversal, pair_digraph)
+                         max_weight_reversal, pair_digraph, pair_relations)
 
 
 def std_example(t):
@@ -175,6 +175,46 @@ def test_critical_pairs_match_definition(P):
 def test_critical_pairs_match_definition_on_enumerated_geometries():
     for G in enumerate_geometries(4):
         assert critical_pairs(G.poset) == critical_pairs_by_definition(G.poset)
+
+
+def pair_relations_by_definition(P, pairs):
+    """Oracle: the arcs, mutual arcs and standard-example legs among the
+    pairs, each by its own scan over all pairs of pairs."""
+    t = len(pairs)
+    arcs = [0] * t
+    for p, (ap, bp) in enumerate(pairs):
+        for q, (aq, bq) in enumerate(pairs):
+            if p != q and (P.up[ap] >> bq) & 1:
+                arcs[p] |= 1 << q
+    mutual = [0] * t
+    for p in range(t):
+        for q in _bits(arcs[p]):
+            if (arcs[q] >> p) & 1:
+                mutual[p] |= 1 << q
+    legs = [0] * t
+    for p in range(t):
+        ap, bp = pairs[p]
+        for q in range(p + 1, t):
+            aq, bq = pairs[q]
+            if len({ap, bp, aq, bq}) < 4:
+                continue
+            if ((P.up[ap] >> bq) & 1 and (P.up[aq] >> bp) & 1
+                    and P.incomparable(ap, aq) and P.incomparable(bp, bq)):
+                legs[p] |= 1 << q
+                legs[q] |= 1 << p
+    return arcs, mutual, legs
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(relabelled_posets(), st.data())
+def test_pair_relations_match_definition(P, data):
+    crit = critical_pairs(P)
+    inc = incomparable_pairs(P)
+    repeated = data.draw(st.permutations(inc + inc[::2]))
+    for pairs in (crit, inc, repeated):
+        want = pair_relations_by_definition(P, pairs)
+        assert pair_relations(P, pairs) == want
+        assert pair_digraph(P, pairs) == want[0]
 
 
 # ---------------------------------------------------------------------------
@@ -504,3 +544,23 @@ def test_clique_matches_bruteforce():
             first = min(c for c in cliques if len(c) == size)
             assert _clique(rows, k, size) == list(first)
         assert _clique(rows, k, largest + 1) is None
+
+
+def test_standard_example_deeper_than_recursion_limit(fresh_python):
+    # the clique search goes one level deeper per leg of S_n
+    code = """
+import sys
+from ordim.order import (find_standard_example, poset_from_up_rows,
+                         standard_example_number)
+sys.setrecursionlimit(200)
+n = 300
+tops = ((1 << n) - 1) << n
+P = poset_from_up_rows([(1 << i) | (tops & ~(1 << (n + i))) for i in range(n)]
+                       + [1 << (n + i) for i in range(n)])
+assert standard_example_number(P) == n
+assert find_standard_example(P, n) == (tuple(range(n)), tuple(range(n, 2 * n)))
+print("ok")
+"""
+    out = fresh_python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
