@@ -105,7 +105,6 @@ def qn_pn(n: int):
     if n < 3:
         raise ParamRange("need n >= 3")
     ground = 2 + 2 * n
-    labels = None
     q_masks = []
     p_masks = []
     for i in range(3):

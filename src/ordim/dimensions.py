@@ -5,10 +5,11 @@ classes (iterative deepening with incremental acyclicity pruning), convex
 dimension by the width of the meet-irreducible subposet, and fractional
 dimension by an exact rational LP with column generation priced by a
 branch and bound over reversible sets of critical pairs. `dim`, `se` and
-`fdim` read their pairs from `order.critical_pairs`, for posets and
-geometries alike: extensions reversing every critical pair reverse every
-incomparable pair (Trotter 1992). Every returned number carries a
-certificate its verifier accepts; one that fails raises AssertionError.
+`fdim` read their pairs and pair relations from the poset's cached
+`Poset.pair_data`, for posets and geometries alike: extensions reversing
+every critical pair reverse every incomparable pair (Trotter 1992). Every
+returned number carries a certificate its verifier accepts; one that fails
+raises AssertionError.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .errors import (BudgetExceeded, InvalidRealizer, MalformedCertificate,
 from .geometry import (ConvexGeometry, ConvexRealizer, mask_to_set,
                        verify_convex_realizer)
 from .order import (Poset, _adds_cycle, _bits, _clique, _heaviest_reversible,
-                    critical_pairs, extend_reversing, max_down_degree,
-                    pair_digraph, pair_relations, standard_example_number,
+                    extend_reversing, max_down_degree, standard_example_number,
                     width)
 
 
@@ -55,55 +55,55 @@ def dm_dimension(P: Poset, budget: Optional[int] = None) -> DimResult:
     tried. Budget counts search tree nodes; exceeding it raises
     BudgetExceeded with the bounds proven so far.
     """
-    pairs = critical_pairs(P)
+    pairs, M, conflicts, _ = P.pair_data
     if not pairs:
         ext = extend_reversing(P, [])
         return DimResult(1, Realizer((ext,)), 0, 1)
     t = len(pairs)
-    M, conflicts, _ = pair_relations(P, pairs)
     clique = len(_clique(conflicts, t))
     order = sorted(range(t), key=lambda p: (-conflicts[p].bit_count(), p))
     nodes = 0
-    total_nodes = 0
-
-    def search(ncolors: int) -> Optional[list]:
-        nonlocal nodes
+    for ncolors in range(max(2, clique), t + 1):
+        # depth-first on an explicit stack: picks[i] is the class of pair
+        # order[i], used[i] the classes opened by picks[:i], idx the depth
+        # and c the next class to try there; c == 0 marks a node just entered
         classes = [0] * ncolors
-
-        def bt(idx: int, used: int) -> bool:
-            nonlocal nodes
-            nodes += 1
-            if budget is not None and total_nodes + nodes > budget:
-                # every smaller class count was refuted before reaching here
-                raise BudgetExceeded(
-                    f"dimension search exceeded {budget} nodes",
-                    lower=ncolors, upper=None)
-            if idx == t:
-                return True
+        picks, used = [0] * t, [0] * (t + 1)
+        idx = c = 0
+        while True:
+            if c == 0:
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    # every smaller class count was refuted before reaching here
+                    raise BudgetExceeded(
+                        f"dimension search exceeded {budget} nodes",
+                        lower=ncolors, upper=None)
+                if idx == t:
+                    break
             p = order[idx]
-            for c in range(min(used + 1, ncolors)):
-                if not _adds_cycle(M, classes[c], p):
-                    classes[c] |= 1 << p
-                    if bt(idx + 1, max(used, c + 1)):
-                        return True
-                    classes[c] &= ~(1 << p)
-            return False
-
-        if bt(0, 0):
-            return classes
-        return None
-
-    start = max(2, clique)
-    for ncolors in range(start, t + 1):
-        nodes = 0
-        classes = search(ncolors)
-        total_nodes += nodes
-        if classes is not None:
+            u = used[idx]
+            top = u + 1 if u < ncolors else ncolors
+            while c < top and _adds_cycle(M, classes[c], p):
+                c += 1
+            if c < top:
+                classes[c] |= 1 << p
+                picks[idx] = c
+                idx += 1
+                used[idx] = u if c < u else c + 1
+                c = 0
+            elif idx:
+                idx -= 1
+                c = picks[idx]
+                classes[c] &= ~(1 << order[idx])
+                c += 1
+            else:
+                break
+        if idx == t:
             groups = [[pairs[p] for p in _bits(cls)] for cls in classes if cls]
             realizer = realizer_from_reversible_classes(P, groups)
             if not verify_realizer(P, realizer):
                 raise AssertionError("solver produced a non-verifying realizer")
-            return DimResult(ncolors, realizer, total_nodes, clique)
+            return DimResult(ncolors, realizer, nodes, clique)
     raise AssertionError("covering with one class per pair always succeeds")
 
 
@@ -198,14 +198,13 @@ def fractional_dimension(P: Poset, budget: Optional[int] = None) -> FdimResult:
     """
     from .simplex import solve_covering
 
-    rows = critical_pairs(P)
+    rows, M, _, _ = P.pair_data
     if not rows:
         ext = extend_reversing(P, [])
         return FdimResult(Fraction(1),
                           FractionalRealizer(((ext, Fraction(1)),)),
                           (), (), 0)
     t = len(rows)
-    M = pair_digraph(P, rows)
     nodes = 0
     lower = Fraction(0)
     patterns = []
@@ -252,7 +251,7 @@ def fractional_dimension(P: Poset, budget: Optional[int] = None) -> FdimResult:
         witnesses.append(ext)
     if verify_fractional_realizer(P, realizer) != (True, opt):
         raise AssertionError("LP optimum's realizer fails verification")
-    return FdimResult(opt, realizer, tuple(y), tuple(rows), iterations, nodes)
+    return FdimResult(opt, realizer, tuple(y), rows, iterations, nodes)
 
 
 # ---------------------------------------------------------------------------

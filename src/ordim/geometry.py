@@ -200,8 +200,7 @@ def validate_convex_geometry(family: SetFamily) -> ConvexGeometry:
         for i in downs[j]:
             row |= down[i]
         down[j] = row
-    labels = tuple(set_label(a) for a in masks)
-    poset = Poset(m, tuple(up), tuple(down), labels, tuple(covers))
+    poset = Poset(m, tuple(up), tuple(down), covers=tuple(covers))
     meet_irr = tuple(i for i in range(m) if len(ups[i]) == 1)
     join_irr = tuple(j for j in range(m) if len(downs[j]) == 1)
     return ConvexGeometry(family, poset, meet_irr, join_irr)

@@ -57,9 +57,6 @@ class Poset:
     def incomparable(self, x: int, y: int) -> bool:
         return x != y and not self.leq(x, y) and not self.leq(y, x)
 
-    def label(self, x: int) -> str:
-        return self.labels[x] if self.labels else str(x)
-
     def validate(self) -> None:
         n = self.n
         for x in range(n):
@@ -107,6 +104,13 @@ class Poset:
             deg[y] += 1
         return tuple(deg)
 
+    @cached_property
+    def pair_data(self) -> tuple:
+        """(pairs, arcs, mutual, legs): `critical_pairs` and their
+        `pair_relations`, as tuples, computed once for dim, se and fdim."""
+        pairs = tuple(critical_pairs(self))
+        return (pairs, *map(tuple, pair_relations(self, pairs)))
+
     def is_chain(self) -> bool:
         return all(self.up[x].bit_count() + self.down[x].bit_count() == self.n + 1
                    for x in range(self.n))
@@ -126,11 +130,10 @@ def poset_from_relation(n: int, pairs: Iterable, labels=None) -> Poset:
             raise ParamRange(f"pair ({x},{y}) out of range for n={n}")
         adj[x] |= 1 << y
     # transitive closure, Warshall on bitset rows
-    order = list(range(n))
     changed = True
     while changed:
         changed = False
-        for x in order:
+        for x in range(n):
             new = up[x]
             for y in _bits(adj[x] | (up[x] & ~(1 << x))):
                 new |= up[y]
@@ -701,8 +704,8 @@ def find_standard_example(P: Poset, t: int):
     """
     if t < 2:
         raise ParamRange("standard examples need t >= 2")
-    pairs = critical_pairs(P)
-    pick = _clique(pair_relations(P, pairs)[2], len(pairs), t)
+    pairs, _, _, legs = P.pair_data
+    pick = _clique(legs, len(pairs), t)
     if pick is None:
         return None
     mins = tuple(pairs[i][0] for i in pick)
@@ -712,6 +715,6 @@ def find_standard_example(P: Poset, t: int):
 
 def standard_example_number(P: Poset) -> int:
     """Largest t >= 2 with a standard example of size t induced in P, else 1."""
-    pairs = critical_pairs(P)
-    best = len(_clique(pair_relations(P, pairs)[2], len(pairs)))
+    pairs, _, _, legs = P.pair_data
+    best = len(_clique(legs, len(pairs)))
     return best if best >= 2 else 1

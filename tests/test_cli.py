@@ -124,6 +124,23 @@ def test_malformed_documents_exit_2(tmp_path, capsys, doc, cert, argv):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "{dir}"],
+    ["compute", "{bad}"],
+    ["verify", "{p14}", "{bad}", "--kind", "realizer"],
+    ["compute", "{p14}", "--out", "{dir}"],
+], ids=["input-is-directory", "non-utf8-input", "non-utf8-certificate",
+        "unwritable-out"])
+def test_unreadable_files_exit_2(tmp_path, capsys, argv):
+    paths = {"dir": tmp_path, "bad": tmp_path / "bad.json",
+             "p14": tmp_path / "p14.json"}
+    paths["bad"].write_bytes(b'{"schema": "\xff\xfe"}')
+    paths["p14"].write_text(json.dumps(P14))
+    assert run([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, spec", [
     (["theorems", "--population", "random:5,3"], "random:5,3"),
     (["theorems", "--population", "named:pkn=1"], "pkn=1"),

@@ -495,6 +495,25 @@ def test_analyze_timings_survive_budget():
     assert rep.timings["dim"] > 0 and rep.timings["fdim"] > 0
 
 
+def test_analyze_computes_pair_data_once(monkeypatch):
+    # dim, se and fdim share the poset's cached pairs and pair relations
+    import ordim.order
+    calls = {}
+
+    def counting(name):
+        original = getattr(ordim.order, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+        monkeypatch.setattr(ordim.order, name, wrapper)
+
+    counting("critical_pairs")
+    counting("pair_relations")
+    assert analyze(pkn(1, 5)).dim == 3
+    assert calls == {"critical_pairs": 1, "pair_relations": 1}
+
+
 def test_analyze_poset_matches_separate_solvers():
     # analyze on a bare poset writes the report that running its solvers
     # one by one gives: dim with its realizer, se, fdim with its realizer

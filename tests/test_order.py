@@ -170,6 +170,7 @@ def relabelled_posets(draw):
 @given(relabelled_posets())
 def test_critical_pairs_match_definition(P):
     assert critical_pairs(P) == critical_pairs_by_definition(P)
+    assert P.pair_data[0] == tuple(critical_pairs_by_definition(P))
 
 
 def test_critical_pairs_match_definition_on_enumerated_geometries():
@@ -215,6 +216,8 @@ def test_pair_relations_match_definition(P, data):
         want = pair_relations_by_definition(P, pairs)
         assert pair_relations(P, pairs) == want
         assert pair_digraph(P, pairs) == want[0]
+    want = map(tuple, pair_relations_by_definition(P, crit))
+    assert P.pair_data == (tuple(crit), *want)
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +550,11 @@ def test_clique_matches_bruteforce():
 
 
 def test_standard_example_deeper_than_recursion_limit(fresh_python):
-    # the clique search goes one level deeper per leg of S_n
+    # the clique search and the dimension search go one level deeper per
+    # leg of S_n
     code = """
 import sys
+from ordim.dimensions import dm_dimension
 from ordim.order import (find_standard_example, poset_from_up_rows,
                          standard_example_number)
 sys.setrecursionlimit(200)
@@ -559,6 +564,7 @@ P = poset_from_up_rows([(1 << i) | (tops & ~(1 << (n + i))) for i in range(n)]
                        + [1 << (n + i) for i in range(n)])
 assert standard_example_number(P) == n
 assert find_standard_example(P, n) == (tuple(range(n)), tuple(range(n, 2 * n)))
+assert dm_dimension(P).dim == n
 print("ok")
 """
     out = fresh_python(code)
