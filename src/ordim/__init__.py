@@ -11,11 +11,10 @@ from .errors import (AxiomViolation, BudgetExceeded, CountExceeded, CycleError,
                      MaxTriesExceeded, NotDistinguishing, NotMeetIrreducible,
                      OrdimError, ParamRange, TooManyExtensions)
 from .order import (Poset, WidthResult, count_linear_extensions, critical_pairs,
-                    down_degree, downset_lattice, find_standard_example,
-                    incomparable_pairs, is_reversible, linear_extensions,
-                    max_down_degree, max_up_degree, poset_from_relation,
-                    standard_example_number, strict_alternating_cycles,
-                    up_degree, width)
+                    downset_lattice, find_standard_example, incomparable_pairs,
+                    is_reversible, linear_extensions, max_down_degree,
+                    poset_from_relation, standard_example_number,
+                    strict_alternating_cycles, width)
 from .certificates import (BooleanRealizer, FractionalRealizer, LocalRealizer,
                            Realizer, verify_boolean_realizer,
                            verify_fractional_realizer, verify_local_realizer,

@@ -45,9 +45,6 @@ class FractionalRealizer:
     """Nonnegative rational weights on linear extensions."""
     weighted: Tuple[Tuple[tuple, Fraction], ...]
 
-    def total_weight(self) -> Fraction:
-        return sum((w for _, w in self.weighted), Fraction(0))
-
 
 def _check_permutation(P: Poset, seq) -> None:
     # 0.0 == 0 and True == 1: only ints proper can serve as indices
@@ -83,18 +80,20 @@ def _before_rows(P: Poset, seq):
 
 
 def verify_realizer(P: Poset, cert: Realizer) -> bool:
-    """Exact check: x <= y in P iff x is before y in every extension."""
+    """Exact check: x <= y in P iff x is before y in every extension.
+
+    Decided by the meet of the before rows alone: meet[x] == up[x] means
+    every extension puts every y >= x at or after x, so each extension is
+    linear, while a non-linear extension puts some y > x before x and drops
+    y from meet[x]. Raises MalformedCertificate on any extension that is
+    not a permutation, even after one that is not linear."""
     if not cert.extensions:
         return False
-    for ext in cert.extensions:
-        if not is_linear_extension(P, ext):
-            return False
     meet = [(1 << P.n) - 1] * P.n
     for ext in cert.extensions:
-        rows = _before_rows(P, ext)
-        for x in range(P.n):
-            meet[x] &= rows[x]
-    return all(meet[x] == P.up[x] for x in range(P.n))
+        _check_permutation(P, ext)
+        meet = [m & r for m, r in zip(meet, _before_rows(P, ext))]
+    return meet == list(P.up)
 
 
 def verify_local_realizer(P: Poset, cert: LocalRealizer):
@@ -183,12 +182,19 @@ def verify_fractional_realizer(P: Poset, cert: FractionalRealizer):
 
 
 def realizer_from_reversible_classes(P: Poset, classes) -> Realizer:
-    """Build a realizer by extending each reversible pair class to a linear
-    extension that reverses it."""
+    """Build and certify a solver's realizer: extend each pair class to a
+    linear extension that reverses it, then verify the whole.
+
+    The classes come from a solver, so a class with no reversing extension
+    or a realizer that does not verify is a solver bug and raises
+    AssertionError."""
     exts = []
     for cls in classes:
         ext = extend_reversing(P, cls)
         if ext is None:
-            raise MalformedCertificate("class is not reversible")
+            raise AssertionError("solver produced a non-reversible class")
         exts.append(ext)
-    return Realizer(tuple(exts))
+    realizer = Realizer(tuple(exts))
+    if not verify_realizer(P, realizer):
+        raise AssertionError("solver produced a non-verifying realizer")
+    return realizer

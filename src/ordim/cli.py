@@ -98,8 +98,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     fam, poset = serialize.load_document(args.input)
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        cert = serialize.certificate_from_json(json.load(fh))
+    cert = serialize.certificate_from_json(serialize.read_json(args.certificate))
     kind = args.kind
     G = validate_convex_geometry(fam) if fam is not None else None
     P = G.poset if G is not None else poset

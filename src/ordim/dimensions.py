@@ -100,10 +100,8 @@ def dm_dimension(P: Poset, budget: Optional[int] = None) -> DimResult:
                 break
         if idx == t:
             groups = [[pairs[p] for p in _bits(cls)] for cls in classes if cls]
-            realizer = realizer_from_reversible_classes(P, groups)
-            if not verify_realizer(P, realizer):
-                raise AssertionError("solver produced a non-verifying realizer")
-            return DimResult(ncolors, realizer, nodes, clique)
+            return DimResult(ncolors, realizer_from_reversible_classes(P, groups),
+                             nodes, clique)
     raise AssertionError("covering with one class per pair always succeeds")
 
 
@@ -375,10 +373,7 @@ def distinguishing_to_realizer(k: int, n: int, seq: DistinguishingSequence,
     classes = [[pair for (i_bit, b_mask, pair) in members
                 if c & i_bit and not c & b_mask]
                for c in carriers]
-    realizer = realizer_from_reversible_classes(P, classes)
-    if not verify_realizer(P, realizer):
-        raise AssertionError("distinguishing conversion failed to verify")
-    return realizer
+    return realizer_from_reversible_classes(P, classes)
 
 
 def realizer_to_distinguishing(k: int, n: int, R: Realizer,
@@ -536,7 +531,6 @@ class DimensionReport:
     fractional_realizer: Optional[FractionalRealizer] = None
     warnings: tuple = ()
     timings: dict = field(default_factory=dict)
-    nodes: Optional[int] = None
 
     def check_chain(self) -> None:
         """Raise AssertionError unless the computed parameters satisfy the
@@ -598,7 +592,6 @@ def analyze(X: ConvexGeometry | Poset, params: Optional[Sequence[str]] = None,
             res = timed("dim", lambda: dm_dimension(P, budget=budget))
             report.dim = res.dim
             report.realizer = res.realizer
-            report.nodes = res.nodes
         except BudgetExceeded as exc:
             warnings.append(f"dimension search out of budget (proved >= {exc.lower})")
     if "fdim" in params:

@@ -31,12 +31,11 @@ def mask_to_set(mask: int) -> tuple:
     return tuple(b + 1 for b in _bits(mask))
 
 
-def set_label(mask: int, element_labels: Optional[Sequence[str]] = None) -> str:
+def set_label(mask: int) -> str:
     """Compact display form: elements concatenated, no braces or commas."""
     if mask == 0:
         return "∅"
-    parts = [element_labels[b] if element_labels else str(b + 1)
-             for b in _bits(mask)]
+    parts = [str(b + 1) for b in _bits(mask)]
     sep = "" if all(len(p) == 1 for p in parts) else ","
     return sep.join(parts)
 

@@ -161,20 +161,8 @@ def poset_from_up_rows(up: Sequence[int], labels=None) -> Poset:
 # degrees and distinguished pairs
 
 
-def down_degree(P: Poset, y: int) -> int:
-    return P.cover_indeg[y]
-
-
-def up_degree(P: Poset, x: int) -> int:
-    return len(P.cover_succ[x])
-
-
 def max_down_degree(P: Poset) -> int:
     return max(P.cover_indeg, default=0)
-
-
-def max_up_degree(P: Poset) -> int:
-    return max(map(len, P.cover_succ), default=0)
 
 
 def incomparable_pairs(P: Poset):

@@ -131,13 +131,24 @@ def poset_from_json(doc: dict) -> Poset:
                                    labels=doc.get("labels"))
 
 
+def read_json(path: str):
+    """Parse a JSON file. Nesting deeper than the interpreter's recursion
+    limit makes the parser raise RecursionError; that is malformed input, so
+    it raises MalformedCertificate here."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise MalformedCertificate(
+                f"malformed JSON in {path}: nested too deeply") from None
+
+
 def load_document(path: str):
     """Read a JSON artifact and build the matching in-memory object.
 
     Set families come back as (SetFamily, None); posets as (None, Poset).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     with _shape("input"):
         schema = doc.get("schema", "")
     if schema == SCHEMAS["setfamily"]:

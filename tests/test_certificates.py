@@ -13,7 +13,8 @@ from ordim import (BooleanRealizer, FractionalRealizer, LocalRealizer,
                    poset_from_relation, verify_boolean_realizer,
                    verify_fractional_realizer, verify_local_realizer,
                    verify_realizer)
-from ordim.certificates import is_linear_extension
+from ordim.certificates import (is_linear_extension,
+                                realizer_from_reversible_classes)
 
 
 def std_example(t):
@@ -42,6 +43,21 @@ def test_realizer_malformed():
     P = std_example(2)
     with pytest.raises(MalformedCertificate):
         verify_realizer(P, Realizer(((0, 1, 2),)))
+    # a malformed extension is refused even after one that is not linear
+    # (3 before 0 although 0 < 3)
+    with pytest.raises(MalformedCertificate):
+        verify_realizer(P, Realizer(((3, 2, 1, 0), (0, 1, 2))))
+
+
+def test_realizer_from_reversible_classes_certifies():
+    P = std_example(2)
+    assert realizer_from_reversible_classes(P, [[(0, 2)], [(1, 3)]]).extensions
+    # reversing both critical pairs at once closes the cycle a0 < b1 < a1 < b0
+    with pytest.raises(AssertionError, match="non-reversible"):
+        realizer_from_reversible_classes(P, [[(0, 2), (1, 3)]])
+    # one reversible class leaves (a1, b1) unreversed: no realizer of S_2
+    with pytest.raises(AssertionError, match="non-verifying"):
+        realizer_from_reversible_classes(P, [[(0, 2)]])
 
 
 def test_realizer_as_boolean_realizer():

@@ -77,6 +77,8 @@ ANTICHAIN2_WEIGHTS = ('{"schema": "ordim/certificate/fractional/1", "weighted": 
 P15 = serialize.family_to_json(pkn(1, 5).family)
 # binary_distinguishing(5): t = 3, sets [[1, 2, 3], [2, 3], [1, 3], [1, 2], [3]]
 DIST = serialize.certificate_to_json(binary_distinguishing(5))
+# deeper than any recursion limit the JSON parser runs under
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.mark.parametrize("doc, cert, argv", [
@@ -104,17 +106,21 @@ DIST = serialize.certificate_to_json(binary_distinguishing(5))
      ["verify", "--kind", "distinguishing"]),
     (P15, dict(DIST, sets=[[1, 1, 2, 3]] + DIST["sets"][1:]),
      ["verify", "--kind", "distinguishing"]),
+    (DEEP, None, ["compute"]),
+    (P14, DEEP, ["verify", "--kind", "realizer"]),
 ], ids=["top-level-array", "realizer-without-extensions",
         "non-numeric-weight", "family-without-sets", "infinite-weight",
         "overflowing-weight", "zero-denominator-weight", "realizer-float-entry",
         "realizer-bool-entry", "fractional-float-entry", "number-weights",
         "bool-weight", "boolean-int-query-string", "marks-above-t",
-        "mark-zero", "bool-mark", "repeated-mark"])
+        "mark-zero", "bool-mark", "repeated-mark", "deep-input",
+        "deep-certificate"])
 def test_malformed_documents_exit_2(tmp_path, capsys, doc, cert, argv):
-    """cert is a JSON object, or raw JSON text for what json.dumps cannot
-    write (1e400) or writes only from a value the test would have to build."""
+    """doc and cert are JSON values, or raw JSON text for what json.dumps
+    cannot write (1e400, nesting past the recursion limit) or writes only
+    from a value the test would have to build."""
     fam = tmp_path / "input.json"
-    fam.write_text(json.dumps(doc))
+    fam.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     args = [argv[0], str(fam)]
     if cert is not None:
         path = tmp_path / "cert.json"

@@ -9,6 +9,7 @@ from ordim import (Realizer, boolean_algebra, critical_pairs,
                    linear_extensions, max_down_degree, pkn, poset_from_relation,
                    random_geometry, strict_alternating_cycles,
                    vc_dimension_shattering, verify_realizer)
+from ordim.certificates import is_linear_extension
 
 
 def random_poset(rng, n):
@@ -18,22 +19,34 @@ def random_poset(rng, n):
 
 
 def test_realizer_verdict_equals_critical_pair_coverage():
-    # a tuple of extensions realizes the order iff every critical pair is
-    # reversed somewhere; brute force over random extension tuples
+    # a tuple of permutations realizes the order iff each is a linear
+    # extension and every critical pair is reversed somewhere; brute force
+    # over random tuples of linear extensions, left as drawn, with two
+    # adjacent entries of one swapped, or with one replaced by an arbitrary
+    # permutation
     rng = random.Random(71)
-    for _ in range(60):
+    seen = set()
+    for _ in range(180):
         P = random_poset(rng, rng.randint(4, 7))
         exts = list(linear_extensions(P, limit=50_000))
         crit = critical_pairs(P)
-        pick = [exts[rng.randrange(len(exts))]
-                for _ in range(rng.randint(1, 3))]
-        cert = Realizer(tuple(pick))
-        covered = True
-        for a, b in crit:
-            if not any(e.index(a) > e.index(b) for e in pick):
-                covered = False
-                break
-        assert verify_realizer(P, cert) == covered
+        pick = [list(exts[rng.randrange(len(exts))])
+                for _ in range(rng.randint(1, 6))]
+        seq = pick[rng.randrange(len(pick))]
+        kind = rng.randrange(3)
+        if kind == 1:
+            i = rng.randrange(P.n - 1)
+            seq[i], seq[i + 1] = seq[i + 1], seq[i]
+        elif kind == 2:
+            rng.shuffle(seq)
+        pick = [tuple(e) for e in pick]
+        linear = all(is_linear_extension(P, e) for e in pick)
+        covered = all(any(e.index(a) > e.index(b) for e in pick)
+                      for a, b in crit)
+        assert verify_realizer(P, Realizer(tuple(pick))) == (linear and covered)
+        seen.add((linear, covered))
+    # accepted, uncovered and covered-but-not-linear tuples all occur
+    assert {(True, True), (True, False), (False, True)} <= seen, seen
 
 
 def test_two_cycle_iff_standard_example_on_distinct_elements():

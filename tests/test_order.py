@@ -10,12 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordim import (CountExceeded, CycleError, Poset, count_linear_extensions,
-                   critical_pairs, down_degree, downset_lattice,
-                   enumerate_geometries,
+                   critical_pairs, downset_lattice, enumerate_geometries,
                    find_standard_example, incomparable_pairs, is_reversible,
-                   linear_extensions, max_down_degree, max_up_degree,
-                   poset_from_relation, standard_example_number,
-                   strict_alternating_cycles, up_degree, width)
+                   linear_extensions, max_down_degree, poset_from_relation,
+                   standard_example_number, strict_alternating_cycles, width)
 from ordim.order import (_bits, _clique, _heaviest_reversible, extend_reversing,
                          max_weight_reversal, pair_digraph, pair_relations)
 
@@ -101,11 +99,12 @@ def test_hasse_matches_betweenness_oracle():
 
 def test_degrees():
     P = chain(4)
-    assert max_down_degree(P) == 1 and max_up_degree(P) == 1
-    assert down_degree(P, 0) == 0 and up_degree(P, 3) == 0
+    assert max_down_degree(P) == 1
+    assert P.cover_indeg == (0, 1, 1, 1)
+    assert P.cover_succ == ((1,), (2,), (3,), ())
     # diamond: 0 < 1,2 < 3
     D = poset_from_relation(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert down_degree(D, 3) == 2 and up_degree(D, 0) == 2
+    assert D.cover_indeg == (0, 1, 1, 2) and D.cover_succ[0] == (1, 2)
     assert max_down_degree(D) == 2
 
 
