@@ -1,8 +1,8 @@
 """Command line front end: build, compute, verify, export, check theorems.
 
-Exit codes form a stable contract: 0 success, 2 usage error or malformed
-input, 3 axiom violation, 4 budget exhausted, 5 certificate rejected. The
-environment variable ORDIM_BUDGET overrides the default node budget.
+Exit codes form a stable contract: 0 success, 1 a theorem row failed, 2 usage
+error or malformed input, 3 axiom violation, 4 budget exhausted, 5 certificate
+rejected. ORDIM_BUDGET in the environment overrides the default node budget.
 """
 
 from __future__ import annotations
@@ -159,8 +159,7 @@ def _cmd_theorems(args) -> int:
     else:
         raise ParamRange(f"unknown population {kind!r}")
     checks = args.checks.split(",") if args.checks else list(ALL_CHECKS)
-    rows = run_suite(instances, checks, budget=_default_budget(args),
-                     jobs=args.jobs)
+    rows = run_suite(instances, checks, budget=_default_budget(args))
     # machine-readable JSON goes to --out, the aligned table to stdout
     if args.out or args.format == "json":
         _write_out(serialize.dumps(rows_to_json(rows)), args.out)
@@ -221,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumerate:N | random:n,t,count,seed | named:pkn=1,5;pn=3")
     t.add_argument("--checks", help=f"subset of {','.join(ALL_CHECKS)}")
     t.add_argument("--budget", type=int)
-    t.add_argument("--jobs", type=int, default=1)
     t.add_argument("--format", choices=["table", "json"], default="table")
     t.add_argument("--out")
     t.set_defaults(func=_cmd_theorems)

@@ -276,34 +276,20 @@ def geometry_critical_pairs(G: ConvexGeometry) -> list:
 def vc_dimension_shattering(family: SetFamily) -> int:
     """Exact VC dimension by shattering search, smallest size first.
 
-    Trace sets are computed per candidate subset; the search stops at the
+    The trace of member m on a candidate set C is m & C, so C is shattered
+    iff the members leave 2^|C| distinct traces. The search stops at the
     first size with no shattered subset (traces of subsets of a shattered set
     are shattered, so the exit is sound).
     """
     from itertools import combinations
-    n = family.ground_n
     masks = family.masks
-    best = 0
-    for size in range(1, n + 1):
-        shattered = None
+    singletons = [1 << e for e in range(family.ground_n)]
+    for size in range(1, family.ground_n + 1):
         want = 1 << size
-        for cand in combinations(range(n), size):
-            traces = set()
-            for m in masks:
-                tr = 0
-                for i, e in enumerate(cand):
-                    if (m >> e) & 1:
-                        tr |= 1 << i
-                traces.add(tr)
-                if len(traces) == want:
-                    break
-            if len(traces) == want:
-                shattered = cand
-                break
-        if shattered is None:
-            break
-        best = size
-    return best
+        if not any(len({m & c for m in masks}) == want
+                   for c in map(sum, combinations(singletons, size))):
+            return size - 1
+    return family.ground_n
 
 
 def check_boolean_property(P: Poset):
@@ -332,20 +318,22 @@ def check_boolean_property(P: Poset):
         interval = list(_bits(P.up[x] & P.down[y]))
         if len(interval) != 1 << m:
             return False, y
-        # signature: which of y's lower covers sit above z; a Boolean interval
-        # is exactly one where signatures are all distinct and order-reversing
-        sig = {}
+        # sig(z): which of y's lower covers sit above z. In every poset z <= w
+        # gives sig(w) ⊆ sig(z). So [X, y] is the cube iff its 2^m signatures
+        # are distinct and z <= at[sig(z) - {i}] for each i in sig(z): by
+        # transitivity those one-cover steps give the converse.
+        at = {}
         for z in interval:
             s = 0
             for i, c in enumerate(covs):
                 if (P.up[z] >> c) & 1:
                     s |= 1 << i
-            sig[z] = s
-        if len(set(sig.values())) != 1 << m:
+            at[s] = z
+        if len(at) != 1 << m:
             return False, y
-        for z in interval:
-            for w in interval:
-                if ((sig[z] | sig[w]) == sig[z]) != P.leq(z, w):
+        for s, z in at.items():
+            for i in _bits(s):
+                if not (P.up[z] >> at[s & ~(1 << i)]) & 1:
                     return False, y
     return True, None
 

@@ -41,23 +41,12 @@ class Instance:
     params: tuple = ()
 
 
-def _report_for(inst: Instance, budget: Optional[int], want_fdim: bool) -> DimensionReport:
-    params = ["dim", "cdim", "maxdd", "se"]
-    if want_fdim:
-        params.append("fdim")
-    return analyze(inst.geometry, params=params, budget=budget)
+# Each row builder reports its rows through add(check, passed, detail).
 
-
-def _universal_rows(inst: Instance, rep: DimensionReport, vc: int,
-                    checks) -> List[CheckRow]:
-    rows = []
-    G = inst.geometry
-
-    def add(check, passed, detail):
-        rows.append(CheckRow(inst.name, check, passed, detail))
-
+def _universal_rows(add, inst: Instance, rep: DimensionReport, vc: int,
+                    checks) -> None:
     if "Thm3.1" in checks:
-        ok, witness = check_boolean_property(G.poset)
+        ok, witness = check_boolean_property(inst.geometry.poset)
         add("Thm3.1", ok, "all intervals Boolean" if ok
             else f"interval below member {witness} not Boolean")
     if "Thm3.4" in checks:
@@ -92,18 +81,12 @@ def _universal_rows(inst: Instance, rep: DimensionReport, vc: int,
             ok = None
             parts.append("dim not computed")
         add("Prop3.8", ok, " ".join(parts))
-    return rows
 
 
-def _pkn_rows(inst: Instance, rep: DimensionReport, vc: int,
-              checks) -> List[CheckRow]:
-    rows = []
+def _pkn_rows(add, inst: Instance, rep: DimensionReport, vc: int,
+              checks) -> None:
     k, n = inst.params
     G = inst.geometry
-
-    def add(check, passed, detail):
-        rows.append(CheckRow(inst.name, check, passed, detail))
-
     if "Prop8.x" in checks:
         mi_masks = tuple(G.masks[i] for i in G.meet_irr)
         j_masks = jkn(k, n).masks
@@ -141,33 +124,35 @@ def _pkn_rows(inst: Instance, rep: DimensionReport, vc: int,
             add("T1.5:5b", rep.dim <= bound, f"dim={rep.dim} <= {bound:.1f}")
         add("T1.5:6", rep.cdim == math.comb(n - 1, k),
             f"cdim={rep.cdim} C(n-1,k)={math.comb(n - 1, k)}")
-    return rows
 
 
-def _pn_rows(inst: Instance, rep: DimensionReport, checks) -> List[CheckRow]:
-    rows = []
+def _pn_rows(add, inst: Instance, rep: DimensionReport, checks) -> None:
     (n,) = inst.params
     if "T1.1" in checks:
         if rep.dim is None:
-            rows.append(CheckRow(inst.name, "T1.1", None, "dim not computed"))
+            add("T1.1", None, "dim not computed")
         else:
-            ok = rep.dim == 3 and rep.cdim == n + 1
-            rows.append(CheckRow(
-                inst.name, "T1.1", ok,
-                f"dim={rep.dim} (want 3) cdim={rep.cdim} (want {n + 1})"))
-    return rows
+            add("T1.1", rep.dim == 3 and rep.cdim == n + 1,
+                f"dim={rep.dim} (want 3) cdim={rep.cdim} (want {n + 1})")
 
 
 def run_instance(inst: Instance, checks: Sequence[str],
                  budget: Optional[int] = None) -> List[CheckRow]:
-    want_fdim = "Prop3.8" in checks or "T1.5" in checks
-    rep = _report_for(inst, budget, want_fdim)
+    params = ["dim", "cdim", "maxdd", "se"]
+    if "Prop3.8" in checks or "T1.5" in checks:
+        params.append("fdim")
+    rep = analyze(inst.geometry, params=params, budget=budget)
     vc = vc_dimension_shattering(inst.geometry.family)
-    rows = _universal_rows(inst, rep, vc, checks)
+    rows: List[CheckRow] = []
+
+    def add(check, passed, detail):
+        rows.append(CheckRow(inst.name, check, passed, detail))
+
+    _universal_rows(add, inst, rep, vc, checks)
     if inst.kind == "pkn":
-        rows += _pkn_rows(inst, rep, vc, checks)
+        _pkn_rows(add, inst, rep, vc, checks)
     if inst.kind == "pn":
-        rows += _pn_rows(inst, rep, checks)
+        _pn_rows(add, inst, rep, checks)
     return rows
 
 
@@ -236,22 +221,11 @@ def parse_named(spec: str) -> List[Instance]:
 
 
 def run_suite(instances: Sequence[Instance], checks: Sequence[str],
-              budget: Optional[int] = None, jobs: int = 1) -> List[CheckRow]:
+              budget: Optional[int] = None) -> List[CheckRow]:
     for c in checks:
-        base = c.split(":")[0]
-        if base not in ALL_CHECKS:
+        if c not in ALL_CHECKS:
             raise ParamRange(f"unknown check {c!r}")
-    if jobs > 1:
-        import multiprocessing as mp
-        with mp.Pool(jobs) as pool:
-            chunks = pool.starmap(run_instance,
-                                  [(inst, checks, budget) for inst in instances])
-    else:
-        chunks = [run_instance(inst, checks, budget) for inst in instances]
-    rows: List[CheckRow] = []
-    for chunk in chunks:
-        rows.extend(chunk)
-    return rows
+    return [row for inst in instances for row in run_instance(inst, checks, budget)]
 
 
 def rows_to_table(rows: Sequence[CheckRow]) -> str:

@@ -214,6 +214,14 @@ def test_theorems_table(tmp_path, capsys):
     assert "pass" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("check", ["T1.5:1", "Thm3.1:anything"])
+def test_theorems_check_names_are_exact(capsys, check):
+    # a row name or a base name with a suffix selects nothing: usage error
+    assert run(["theorems", "--population", "named:pkn=1,5",
+                "--checks", check]) == 2
+    assert repr(check) in capsys.readouterr().err
+
+
 def test_theorems_json(tmp_path):
     out = tmp_path / "rows.json"
     code = run(["theorems", "--population", "enumerate:2",

@@ -295,6 +295,28 @@ def test_vc_degenerate_zero():
     assert vc_dimension_shattering(fam) == 0
 
 
+def vc_oracle(fam):
+    """Largest C with every S ⊆ C a trace m & C of some member, by scanning
+    every subset C of the ground set (0 for the empty family)."""
+    best = 0
+    for c in range(1 << fam.ground_n):
+        traces = {m & c for m in fam.masks}
+        if all(s in traces for s in range(c + 1) if s & ~c == 0):
+            best = max(best, c.bit_count())
+    return best
+
+
+def test_vc_matches_definition_on_random_families():
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 24))]
+        fam = SetFamily.from_masks(n, masks)
+        assert vc_dimension_shattering(fam) == vc_oracle(fam), (n, fam.masks)
+    for G in [random_geometry(6, 3, seed) for seed in range(40)]:
+        assert vc_dimension_shattering(G.family) == vc_oracle(G.family)
+
+
 # ---------------------------------------------------------------------------
 # Boolean interval property
 
@@ -328,6 +350,63 @@ def test_boolean_property_rejects_m3():
     P = poset_from_up_rows(rows)
     ok, witness = check_boolean_property(P)
     assert not ok
+
+
+def boolean_property_pairwise(P):
+    """check_boolean_property with the order of [X, y] checked on all pairs:
+    z <= w iff the lower covers of y above w are among those above z."""
+    lower = [[] for _ in range(P.n)]
+    for x, y in P.covers:
+        lower[y].append(x)
+    for y in range(P.n):
+        covs = lower[y]
+        m = len(covs)
+        if m == 0:
+            continue
+        common = P.down[covs[0]]
+        for c in covs[1:]:
+            common &= P.down[c]
+        maximal = [z for z in range(P.n) if (common >> z) & 1
+                   and not (P.up[z] & common & ~(1 << z))]
+        if len(maximal) != 1:
+            return False, y
+        x = maximal[0]
+        interval = [z for z in range(P.n) if P.leq(x, z) and P.leq(z, y)]
+        if len(interval) != 1 << m:
+            return False, y
+        sig = {z: sum(1 << i for i, c in enumerate(covs) if P.leq(z, c))
+               for z in interval}
+        if len(set(sig.values())) != 1 << m:
+            return False, y
+        for z in interval:
+            for w in interval:
+                if ((sig[z] | sig[w]) == sig[z]) != P.leq(z, w):
+                    return False, y
+    return True, None
+
+
+def test_boolean_property_matches_pairwise_check():
+    rng = random.Random(7)
+    verdicts = Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        p = rng.random() * 0.6
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        P = poset_from_relation(n, pairs)
+        got = check_boolean_property(P)
+        assert got == boolean_property_pairwise(P), (n, pairs)
+        verdicts[got[0]] += 1
+    assert verdicts[True] and verdicts[False]
+    # below 16 elements the signature count alone decides; the one-cover
+    # steps show on the 4-cube (members are signatures, ordered by reverse
+    # inclusion, top labelled 0) with the relation {0,1,2} <= {0,1} dropped
+    pairs = [(z, w) for z in range(16) for w in range(16)
+             if z != w and z | w == z and (z, w) != (7, 3)]
+    P = poset_from_relation(16, pairs)
+    assert check_boolean_property(P) == boolean_property_pairwise(P) == (False, 0)
+    for G in enumerate_geometries(4):
+        assert check_boolean_property(G.poset) == boolean_property_pairwise(G.poset)
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,6 @@ def test_named_instances_checks():
     assert {r.check for r in skips} == {"T1.5:3", "T1.5:4"}
 
 
-def test_parallel_matches_serial():
-    instances = population_random(5, 2, 10, seed=3)
-    serial = run_suite(instances, list(UNIVERSAL_CHECKS), jobs=1)
-    parallel = run_suite(instances, list(UNIVERSAL_CHECKS), jobs=2)
-    assert [(r.instance, r.check, r.passed) for r in serial] == \
-           [(r.instance, r.check, r.passed) for r in parallel]
-
-
 def test_table_and_json_rendering():
     rows = run_suite(parse_named("linear=3"), ["Thm3.1", "Prop3.8"])
     table = rows_to_table(rows)
