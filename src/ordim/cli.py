@@ -2,7 +2,7 @@
 
 Exit codes form a stable contract: 0 success, 1 a theorem row failed, 2 usage
 error or malformed input, 3 axiom violation, 4 budget exhausted, 5 certificate
-rejected. ORDIM_BUDGET in the environment overrides the default node budget.
+rejected.
 """
 
 from __future__ import annotations
@@ -33,12 +33,11 @@ EXIT_AXIOM = 3
 EXIT_BUDGET = 4
 EXIT_REJECT = 5
 
-
-def _default_budget(args) -> int | None:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("ORDIM_BUDGET")
-    return int(env) if env else None
+# each --kind and the certificate class certificate_from_json returns for it
+KINDS = {"realizer": Realizer, "convex": ConvexRealizer,
+         "boolean": BooleanRealizer, "local": LocalRealizer,
+         "fractional": FractionalRealizer,
+         "distinguishing": DistinguishingSequence}
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -82,18 +81,16 @@ def _cmd_gen(args) -> int:
 
 def _cmd_compute(args) -> int:
     fam, poset = serialize.load_document(args.input)
-    budget = _default_budget(args)
     meta = {"input": os.path.basename(args.input)}
-    if budget is not None:
-        meta["budget"] = budget
+    if args.budget is not None:
+        meta["budget"] = args.budget
     subject = validate_convex_geometry(fam) if fam is not None else poset
     report = analyze(subject, params=args.only.split(",") if args.only else None,
-                     budget=budget)
+                     budget=args.budget)
     doc = serialize.report_to_json(report, meta=meta)
     _write_out(serialize.dumps(doc), args.out)
-    if any("out of budget" in w for w in report.warnings):
-        return EXIT_BUDGET
-    return EXIT_OK
+    # analyze warns only when a solver ran out of budget
+    return EXIT_BUDGET if report.warnings else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
@@ -102,41 +99,29 @@ def _cmd_verify(args) -> int:
     kind = args.kind
     G = validate_convex_geometry(fam) if fam is not None else None
     P = G.poset if G is not None else poset
+    if not isinstance(cert, KINDS[kind]):
+        raise MalformedCertificate(f"certificate is not a {kind} certificate")
 
     if kind == "realizer":
-        if not isinstance(cert, Realizer):
-            raise MalformedCertificate("certificate is not a realizer")
         ok, detail = verify_realizer(P, cert), ""
     elif kind == "convex":
         if G is None:
             raise MalformedCertificate("convex certificates need a set family input")
-        if not isinstance(cert, ConvexRealizer):
-            raise MalformedCertificate("certificate is not a convex realizer")
         ok, detail = verify_convex_realizer(G, cert.perms), ""
     elif kind == "local":
-        if not isinstance(cert, LocalRealizer):
-            raise MalformedCertificate("certificate is not a local realizer")
         ok, mult = verify_local_realizer(P, cert)
         detail = f"max multiplicity {mult}"
     elif kind == "boolean":
-        if not isinstance(cert, BooleanRealizer):
-            raise MalformedCertificate("certificate is not a Boolean realizer")
         ok, detail = verify_boolean_realizer(P, cert), ""
     elif kind == "fractional":
-        if not isinstance(cert, FractionalRealizer):
-            raise MalformedCertificate("certificate is not a fractional realizer")
         ok, total = verify_fractional_realizer(P, cert)
         detail = f"total weight {total}"
-    elif kind == "distinguishing":
-        if not isinstance(cert, DistinguishingSequence):
-            raise MalformedCertificate("certificate is not a distinguishing sequence")
+    else:  # distinguishing
         if G is None or G.masks != pkn(cert.k, cert.n).masks:
             print(f"reject: input family is not pkn({cert.k},{cert.n})")
             return EXIT_REJECT
         ok, witness = verify_distinguishing(cert.k, cert.n, cert)
         detail = "" if ok else f"fails on member {witness}"
-    else:
-        raise ParamRange(f"unknown certificate kind {kind!r}")
 
     if ok:
         print(f"accept {kind} certificate" + (f" ({detail})" if detail else ""))
@@ -159,7 +144,7 @@ def _cmd_theorems(args) -> int:
     else:
         raise ParamRange(f"unknown population {kind!r}")
     checks = args.checks.split(",") if args.checks else list(ALL_CHECKS)
-    rows = run_suite(instances, checks, budget=_default_budget(args))
+    rows = run_suite(instances, checks, budget=args.budget)
     # machine-readable JSON goes to --out, the aligned table to stdout
     if args.out or args.format == "json":
         _write_out(serialize.dumps(rows_to_json(rows)), args.out)
@@ -210,9 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="verify a certificate file")
     v.add_argument("input")
     v.add_argument("certificate")
-    v.add_argument("--kind", required=True,
-                   choices=["realizer", "convex", "boolean", "local",
-                            "fractional", "distinguishing"])
+    v.add_argument("--kind", required=True, choices=list(KINDS))
     v.set_defaults(func=_cmd_verify)
 
     t = sub.add_parser("theorems", help="run the theorem suite")

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -43,7 +42,6 @@ class DimResult:
     dim: int
     realizer: Realizer
     nodes: int
-    lower_bound_clique: int
 
 
 def dm_dimension(P: Poset, budget: Optional[int] = None) -> DimResult:
@@ -58,7 +56,7 @@ def dm_dimension(P: Poset, budget: Optional[int] = None) -> DimResult:
     pairs, M, conflicts, _ = P.pair_data
     if not pairs:
         ext = extend_reversing(P, [])
-        return DimResult(1, Realizer((ext,)), 0, 1)
+        return DimResult(1, Realizer((ext,)), 0)
     t = len(pairs)
     clique = len(_clique(conflicts, t))
     order = sorted(range(t), key=lambda p: (-conflicts[p].bit_count(), p))
@@ -101,7 +99,7 @@ def dm_dimension(P: Poset, budget: Optional[int] = None) -> DimResult:
         if idx == t:
             groups = [[pairs[p] for p in _bits(cls)] for cls in classes if cls]
             return DimResult(ncolors, realizer_from_reversible_classes(P, groups),
-                             nodes, clique)
+                             nodes)
     raise AssertionError("covering with one class per pair always succeeds")
 
 
@@ -209,9 +207,9 @@ def fractional_dimension(P: Poset, budget: Optional[int] = None) -> FdimResult:
     witnesses = []
     seen = set()
     for p in range(t):
-        members = 0
-        for q in [p] + [q for q in range(t) if q != p]:
-            if not (members >> q) & 1 and not _adds_cycle(M, members, q):
+        members = 1 << p
+        for q in range(t):
+            if q != p and not _adds_cycle(M, members, q):
                 members |= 1 << q
         ext = extend_reversing(P, [rows[q] for q in _bits(members)])
         pat = _reversal_pattern(ext, rows)
@@ -530,7 +528,6 @@ class DimensionReport:
     convex_realizer: Optional[ConvexRealizer] = None
     fractional_realizer: Optional[FractionalRealizer] = None
     warnings: tuple = ()
-    timings: dict = field(default_factory=dict)
 
     def check_chain(self) -> None:
         """Raise AssertionError unless the computed parameters satisfy the
@@ -557,7 +554,7 @@ def analyze(X: ConvexGeometry | Poset, params: Optional[Sequence[str]] = None,
     for a ConvexGeometry, POSET_PARAMS for a bare Poset; any other name
     raises ParamRange. Budget exhaustion leaves the affected fields unset
     and adds a warning with the bounds proved instead of failing the whole
-    report; timings record every solver run, also one that ran out.
+    report.
     """
     if isinstance(X, ConvexGeometry):
         kind, supported, P = "geometry", GEOMETRY_PARAMS, X.poset
@@ -572,31 +569,24 @@ def analyze(X: ConvexGeometry | Poset, params: Optional[Sequence[str]] = None,
     report = DimensionReport()
     warnings = []
 
-    def timed(name, fn):
-        t0 = time.perf_counter()
-        try:
-            return fn()
-        finally:
-            report.timings[name] = time.perf_counter() - t0
-
     if "maxdd" in params:
-        report.maxdd = timed("maxdd", lambda: max_down_degree(P))
+        report.maxdd = max_down_degree(P)
     if "se" in params:
-        report.se = timed("se", lambda: standard_example_number(P))
+        report.se = standard_example_number(P)
     if "cdim" in params:
-        res = timed("cdim", lambda: convex_dimension(X))
+        res = convex_dimension(X)
         report.cdim = res.cdim
         report.convex_realizer = res.realizer
     if "dim" in params:
         try:
-            res = timed("dim", lambda: dm_dimension(P, budget=budget))
+            res = dm_dimension(P, budget=budget)
             report.dim = res.dim
             report.realizer = res.realizer
         except BudgetExceeded as exc:
             warnings.append(f"dimension search out of budget (proved >= {exc.lower})")
     if "fdim" in params:
         try:
-            res = timed("fdim", lambda: fractional_dimension(P, budget=budget))
+            res = fractional_dimension(P, budget=budget)
             report.fdim = res.fdim
             report.fractional_realizer = res.realizer
         except BudgetExceeded as exc:

@@ -318,22 +318,17 @@ def check_boolean_property(P: Poset):
         interval = list(_bits(P.up[x] & P.down[y]))
         if len(interval) != 1 << m:
             return False, y
-        # sig(z): which of y's lower covers sit above z. In every poset z <= w
-        # gives sig(w) ⊆ sig(z). So [X, y] is the cube iff its 2^m signatures
-        # are distinct and z <= at[sig(z) - {i}] for each i in sig(z): by
-        # transitivity those one-cover steps give the converse.
-        at = {}
-        for z in interval:
-            s = 0
-            for i, c in enumerate(covs):
-                if (P.up[z] >> c) & 1:
-                    s |= 1 << i
-            at[s] = z
+        # sig(z): the mask of y's lower covers that sit above z. In every
+        # poset z <= w gives sig(w) ⊆ sig(z). So [X, y] is the cube iff its 2^m
+        # signatures are distinct and z <= at[sig(z) - {c}] for each c in
+        # sig(z): by transitivity those one-cover steps give the converse.
+        cov = sum(1 << c for c in covs)
+        at = {P.up[z] & cov: z for z in interval}
         if len(at) != 1 << m:
             return False, y
         for s, z in at.items():
-            for i in _bits(s):
-                if not (P.up[z] >> at[s & ~(1 << i)]) & 1:
+            for c in _bits(s):
+                if not (P.up[z] >> at[s ^ (1 << c)]) & 1:
                     return False, y
     return True, None
 

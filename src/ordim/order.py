@@ -656,30 +656,28 @@ def _clique(rows: Sequence[int], k: int, size: Optional[int] = None):
     with `size` vertices (None when there is none), as a sorted list.
     """
     pick, best = [], []
-    # one frame [candidates, their list, next index] per open level; the
-    # vertices taken so far are pick, one fewer than the frames
-    stack = []
-    cand = (1 << k) - 1
+    # one frame per open level, the mask of its candidates not tried yet;
+    # the vertices taken so far are pick, one fewer than the frames
+    stack = [(1 << k) - 1]
     while True:
         if len(pick) > len(best):
             best = pick[:]
         if len(pick) == size:
             return pick
-        stack.append([cand, list(_bits(cand)), 0])
-        while stack:
-            frame = stack[-1]
-            cand, cs, i = frame
-            if i < len(cs) and len(pick) + len(cs) - i > len(best):
-                break
+        while stack and len(pick) + stack[-1].bit_count() <= len(best):
             stack.pop()
             if pick:
                 pick.pop()
-        else:
+        if not stack:
             return best if size is None else None
-        q = cs[i]
-        frame[2] = i + 1
+        # take the lowest candidate q; every bit at or below q has left the
+        # frame, so the child's candidates are its neighbours still in it
+        frame = stack[-1]
+        q = (frame & -frame).bit_length() - 1
+        frame ^= 1 << q
+        stack[-1] = frame
         pick.append(q)
-        cand &= rows[q] & ~((1 << (q + 1)) - 1)
+        stack.append(rows[q] & frame)
 
 
 def find_standard_example(P: Poset, t: int):

@@ -96,15 +96,9 @@ def _pkn_rows(add, inst: Instance, rep: DimensionReport, vc: int,
             sup = set(pkn(k + 1, n).masks)
             add("Prop8.x:monotone", all(m in sup for m in G.masks),
                 f"members of ({k},{n}) inside ({k + 1},{n})")
-        dd_ok = True
-        for i in range(len(G.masks)):
-            size = bin(G.masks[i]).count("1")
-            dd = G.poset.cover_indeg[i]
-            want = 0 if size == 0 else (1 if size == 1 else min(size, k + 1))
-            if dd != want:
-                dd_ok = False
-                break
-        add("Prop8.x:dd", dd_ok, "down degrees match min(|A|, k+1) profile")
+        add("Prop8.x:dd", all(dd == min(m.bit_count(), k + 1)
+                              for m, dd in zip(G.masks, G.poset.cover_indeg)),
+            "down degrees match min(|A|, k+1) profile")
     if "T1.5" in checks:
         add("T1.5:1", vc == rep.se == k + 1, f"vcdim={vc} se={rep.se} k+1={k + 1}")
         if rep.fdim is not None:

@@ -31,16 +31,13 @@ from ordim import (Realizer, analyze, binary_distinguishing, boolean_algebra,
 from ordim.geometry import SetFamily, check_boolean_property
 from ordim.suite import UNIVERSAL_CHECKS, Instance, run_suite
 
+from posets import std_example
+
 
 def verdict(num, ok, detail):
     line = f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line, flush=True)
     return ok
-
-
-def std_example(t):
-    pairs = [(i, t + j) for i in range(t) for j in range(t) if i != j]
-    return poset_from_relation(2 * t, pairs)
 
 
 def test_criterion_1_dim_p1n_formula():

@@ -16,10 +16,7 @@ from ordim import (BooleanRealizer, FractionalRealizer, LocalRealizer,
 from ordim.certificates import (is_linear_extension,
                                 realizer_from_reversible_classes)
 
-
-def std_example(t):
-    pairs = [(i, t + j) for i in range(t) for j in range(t) if i != j]
-    return poset_from_relation(2 * t, pairs)
+from posets import std_example
 
 
 def s2_realizer():

@@ -354,6 +354,25 @@ def test_verify_convex_boolean_local(tmp_path):
     assert run(["verify", str(pos), str(lpath), "--kind", "realizer"]) == 2
 
 
+@pytest.mark.parametrize("kind, given", [
+    ("realizer", "fractional"), ("fractional", "realizer"),
+    ("convex", "realizer"), ("boolean", "convex"), ("local", "fractional"),
+    ("distinguishing", "convex")])
+def test_verify_kind_mismatch_exits_2(tmp_path, capsys, kind, given):
+    from ordim import convex_dimension, dm_dimension, pkn_fractional_certificate
+    G = pkn(1, 4)
+    certs = {"realizer": dm_dimension(G.poset).realizer,
+             "fractional": pkn_fractional_certificate(1, 4),
+             "convex": convex_dimension(G).realizer}
+    fam = tmp_path / "p14.json"
+    run(["gen", "pkn", "--k", "1", "--n", "4", "--out", str(fam)])
+    cert = tmp_path / "cert.json"
+    cert.write_text(serialize.dumps(serialize.certificate_to_json(certs[given])))
+    assert run(["verify", str(fam), str(cert), "--kind", kind]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: certificate is not a {kind} certificate\n"
+
+
 def test_compute_pn6(tmp_path):
     fam = tmp_path / "pn6.json"
     run(["gen", "pn", "--n", "6", "--out", str(fam)])

@@ -6,16 +6,12 @@ from itertools import combinations
 from ordim import (Realizer, boolean_algebra, critical_pairs,
                    enumerate_geometries, find_standard_example,
                    geometry_critical_pairs, incomparable_pairs, jkn,
-                   linear_extensions, max_down_degree, pkn, poset_from_relation,
-                   random_geometry, strict_alternating_cycles,
-                   vc_dimension_shattering, verify_realizer)
+                   linear_extensions, max_down_degree, pkn, random_geometry,
+                   strict_alternating_cycles, vc_dimension_shattering,
+                   verify_realizer)
 from ordim.certificates import is_linear_extension
 
-
-def random_poset(rng, n):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < 0.3]
-    return poset_from_relation(n, pairs)
+from posets import random_poset
 
 
 def test_realizer_verdict_equals_critical_pair_coverage():

@@ -17,28 +17,7 @@ from ordim import (CountExceeded, CycleError, Poset, count_linear_extensions,
 from ordim.order import (_bits, _clique, _heaviest_reversible, extend_reversing,
                          max_weight_reversal, pair_digraph, pair_relations)
 
-
-def std_example(t):
-    """S_t: minимal a_0..a_{t-1}, maximal b via a_i < b_j iff i != j."""
-    pairs = [(i, t + j) for i in range(t) for j in range(t) if i != j]
-    return poset_from_relation(2 * t, pairs)
-
-
-def chain(n):
-    return poset_from_relation(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def antichain(n):
-    return poset_from_relation(n, [])
-
-
-def random_poset(rng, n):
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.3:
-                pairs.append((i, j))
-    return poset_from_relation(n, pairs)
+from posets import antichain, chain, random_poset, std_example
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_report_serialization_deterministic():
     rep2 = analyze(pkn(1, 4))
     doc1 = serialize.dumps(serialize.report_to_json(rep1))
     doc2 = serialize.dumps(serialize.report_to_json(rep2))
-    assert doc1 == doc2                      # timings never reach the artifact
+    assert doc1 == doc2                      # no volatile data reaches the artifact
     params = json.loads(doc1)["params"]
     assert params["fdim"] == "5/2" and params["dim"] == 3
 

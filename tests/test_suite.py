@@ -1,5 +1,6 @@
 """Theorem suite engine: populations, checks, reporting."""
 
+from ordim import boolean_algebra
 from ordim.suite import (Instance, parse_named, population_enumerate,
                          population_random, rows_to_json, rows_to_table,
                          run_suite, UNIVERSAL_CHECKS)
@@ -27,6 +28,14 @@ def test_named_instances_checks():
     # asymptotic statements are reported as skipped rows, not pass/fail
     skips = [r for r in rows if r.passed is None]
     assert {r.check for r in skips} == {"T1.5:3", "T1.5:4"}
+
+
+def test_down_degree_row_fails_off_profile():
+    # Boolean algebras have down degree |A|, not min(|A|, k+1)
+    rows = run_suite([Instance("b4", boolean_algebra(4), "pkn", (1, 4))],
+                     ["Prop8.x"])
+    dd = [r for r in rows if r.check == "Prop8.x:dd"]
+    assert len(dd) == 1 and dd[0].passed is False
 
 
 def test_table_and_json_rendering():
