@@ -159,6 +159,7 @@ class FdimResult:
     rows: tuple         # the critical pairs, in the order of duals
     iterations: int
     nodes: int = 0      # pricing search nodes over all rounds
+    pivots: int = 0     # simplex pivots over all rounds
 
 
 def _reversal_pattern(ext: tuple, rows: Sequence) -> int:
@@ -192,7 +193,7 @@ def fractional_dimension(P: Poset, budget: Optional[int] = None) -> FdimResult:
     best Farley bound opt / v, with v the largest price a round found, or,
     for the interrupted round, an upper bound on it.
     """
-    from .simplex import solve_covering
+    from .simplex import CoveringLP
 
     rows, M, _, _ = P.pair_data
     if not rows:
@@ -205,36 +206,40 @@ def fractional_dimension(P: Poset, budget: Optional[int] = None) -> FdimResult:
     lower = Fraction(0)
     patterns = []
     witnesses = []
-    seen = set()
+    covered = 0
+    # one greedy reversible set per pair no earlier seed reverses: every
+    # pair is covered, so the first LP is feasible
     for p in range(t):
+        if (covered >> p) & 1:
+            continue
         members = 1 << p
         for q in range(t):
             if q != p and not _adds_cycle(M, members, q):
                 members |= 1 << q
         ext = extend_reversing(P, [rows[q] for q in _bits(members)])
         pat = _reversal_pattern(ext, rows)
-        if pat not in seen:
-            seen.add(pat)
-            patterns.append(pat)
-            witnesses.append(ext)
+        covered |= pat
+        patterns.append(pat)
+        witnesses.append(ext)
+    seen = set(patterns)
+    lp = CoveringLP(patterns, t)
     iterations = 0
     while True:
         iterations += 1
-        opt, y, f = solve_covering(patterns, t)
-        realizer = FractionalRealizer(tuple(
-            (witnesses[i], f[i]) for i in range(len(patterns)) if f[i]))
-        scale = math.lcm(*(v.denominator for v in y))
-        weights = [v.numerator * (scale // v.denominator) for v in y]
+        # the duals over lp.D: a uniform scale of the weights leaves the
+        # pricing search's choices unchanged
+        weights = lp.duals()
         price, members, used = _heaviest_reversible(
             M, weights, None if budget is None else budget - nodes)
         nodes += used
         # Farley: y divided by the largest price is dual feasible
-        lower = max(lower, opt * scale / price)
+        lower = max(lower, Fraction(sum(weights), price))
         if members is None:
+            opt, _, f = lp.solution()
             raise BudgetExceeded(
                 f"fractional dimension pricing exceeded {budget} nodes",
-                lower=lower, upper=opt, partial=realizer)
-        if price <= scale:
+                lower=lower, upper=opt, partial=_weighted(witnesses, f))
+        if price <= lp.D:
             break
         ext = extend_reversing(P, [rows[q] for q in _bits(members)])
         pat = _reversal_pattern(ext, rows)
@@ -243,11 +248,19 @@ def fractional_dimension(P: Poset, budget: Optional[int] = None) -> FdimResult:
         if pat in seen:
             raise AssertionError("pricing returned an existing column")
         seen.add(pat)
-        patterns.append(pat)
         witnesses.append(ext)
+        lp.add(pat)
+    opt, y, f = lp.solution()
+    realizer = _weighted(witnesses, f)
     if verify_fractional_realizer(P, realizer) != (True, opt):
         raise AssertionError("LP optimum's realizer fails verification")
-    return FdimResult(opt, realizer, tuple(y), rows, iterations, nodes)
+    return FdimResult(opt, realizer, tuple(y), rows, iterations, nodes,
+                      lp.pivots)
+
+
+def _weighted(witnesses: Sequence, f: Sequence) -> FractionalRealizer:
+    """The witnesses with nonzero LP weight."""
+    return FractionalRealizer(tuple((ext, w) for ext, w in zip(witnesses, f) if w))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,6 @@
 The covering LP is  min 1.f  s.t.  A f >= 1, f >= 0  with columns indexed by
 reversal patterns. It is solved through its dual  max 1.y  s.t.  A^T y <= 1,
 y >= 0  whose slack basis is immediately feasible, so no phase-1 is needed.
-Bland's rule guarantees termination; scale stays tiny because columns are
-generated lazily by the callers.
 
 The tableau is kept in integers with one common denominator D (the
 integer-preserving elimination of Edmonds and Bareiss): the rational tableau
@@ -12,6 +10,20 @@ is T / D, every pivot updates T[i][j] <- (T[i][j]*p - T[i][e]*T[l][j]) // D
 with exact division and then sets D <- p. The reduced-cost row is carried as
 one more row. Pivots, and so the optimum, duals and primal weights, are
 exactly those of the rational tableau; Fractions appear only in the result.
+
+A `CoveringLP` keeps its tableau for column generation. The cold solve is
+the primal simplex from the slack basis with Bland's rule. A column added
+later is one more dual row  a.y + s = 1: in units of D it is D*a minus the
+rows of the basic y_j it contains, with its slack basic at D. The reduced
+costs do not change, so the basis stays dual feasible and only the new
+row's right-hand side can be negative; dual-simplex pivots with Bland's rule
+(leave: the lowest basic index among negative right-hand sides; enter: the
+least ratio cost[j] / -T[l][j] over T[l][j] < 0, lowest index among ties)
+restore optimality, Chvatal's cut-and-reoptimise step. A dual pivot entry is
+negative, so its row is negated first: the pivot, the next D, is then
+positive, and every sign test reads the rational tableau's signs. Primal
+pivots are positive by their ratio test. After every solve the duals and
+primal weights are checked as a certificate of optimality.
 """
 
 from __future__ import annotations
@@ -20,6 +32,157 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 ZERO = Fraction(0)
+
+
+class CoveringLP:
+    """The covering LP over bitmask columns, kept optimal as columns arrive.
+
+    columns[i] has bit j set when column i covers row j; nrows >= 1. Raises
+    ValueError when some row is covered by no column. `duals()` are integers
+    over the positive common denominator `D`; `pivots` counts every pivot.
+    """
+
+    def __init__(self, columns: Sequence[int], nrows: int):
+        covered = 0
+        for c in columns:
+            covered |= c
+        if covered != (1 << nrows) - 1:
+            raise ValueError("some row is uncovered by every column")
+        m = len(columns)
+        self.nrows = nrows
+        self.columns = list(columns)
+        # dual tableau rows: one constraint per pattern; columns y_0..y_{t-1},
+        # slacks, right-hand side; the last row holds the reduced costs
+        T = []
+        for i, pat in enumerate(columns):
+            row = [(pat >> j) & 1 for j in range(nrows)] + [0] * m + [1]
+            row[nrows + i] = 1
+            T.append(row)
+        T.append([-1] * nrows + [0] * (m + 1))
+        self.T = T
+        self.basis = list(range(nrows, nrows + m))
+        self.D = 1
+        self.pivots = 0
+        self._primal()
+        self._check()
+
+    def _pivot(self, leave: int, enter: int) -> None:
+        # every other row is rescaled by p / D, also where its entering
+        # entry is 0 (a no-op only when p == D)
+        T, D = self.T, self.D
+        prow = T[leave]
+        p = prow[enter]
+        if p <= 0:
+            raise ArithmeticError("pivot entry is not positive")
+        for i, row in enumerate(T):
+            if i != leave:
+                factor = row[enter]
+                if factor:
+                    T[i] = [(v * p - factor * w) // D for v, w in zip(row, prow)]
+                elif p != D:
+                    T[i] = [v * p // D for v in row]
+        self.basis[leave] = enter
+        self.D = p
+        self.pivots += 1
+
+    def _primal(self) -> None:
+        T, basis = self.T, self.basis
+        m = len(basis)
+        ncols = self.nrows + m
+        while True:
+            cost_row = T[m]
+            enter = -1
+            for j in range(ncols):
+                if cost_row[j] < 0:
+                    enter = j   # Bland: lowest index wins
+                    break
+            if enter < 0:
+                return
+            # ratio test T[i][-1] / T[i][enter] by cross-multiplication (D > 0)
+            leave = -1
+            for i in range(m):
+                a = T[i][enter]
+                if a > 0:
+                    if leave < 0:
+                        leave = i
+                        continue
+                    lhs = T[i][-1] * T[leave][enter]
+                    rhs = T[leave][-1] * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave = i
+            if leave < 0:
+                raise ArithmeticError("dual LP unbounded; covering LP infeasible")
+            self._pivot(leave, enter)
+
+    def _dual(self) -> None:
+        T, basis = self.T, self.basis
+        m = len(basis)
+        while True:
+            leave = -1
+            for i in range(m):
+                if T[i][-1] < 0 and (leave < 0 or basis[i] < basis[leave]):
+                    leave = i   # Bland: lowest basic index wins
+            if leave < 0:
+                return
+            # ratio test cost[j] / -row[j] by cross-multiplication, ties kept
+            # at the lower index
+            row, cost_row = T[leave], T[m]
+            enter = -1
+            for j in range(len(row) - 1):
+                a = row[j]
+                if a < 0 and (enter < 0 or
+                              cost_row[j] * row[enter] > cost_row[enter] * a):
+                    enter = j
+            if enter < 0:
+                raise ArithmeticError("dual LP infeasible, though y = 0 is feasible")
+            T[leave] = [-v for v in row]
+            self._pivot(leave, enter)
+
+    def add(self, column: int) -> None:
+        """Add one column and re-optimise from the current basis."""
+        T, basis, D, t = self.T, self.basis, self.D, self.nrows
+        m = len(basis)
+        for row in T:
+            row.insert(-1, 0)
+        new = [D * ((column >> j) & 1) for j in range(t)] + [0] * m + [D, D]
+        for i in range(m):
+            j = basis[i]
+            if j < t and (column >> j) & 1:
+                new = [v - w for v, w in zip(new, T[i])]
+        T.insert(m, new)
+        basis.append(t + m)
+        self.columns.append(column)
+        self._dual()
+        self._check()
+
+    def duals(self) -> list:
+        """y_j * D for every row j."""
+        y = [0] * self.nrows
+        for row, b in zip(self.T, self.basis):
+            if b < self.nrows:
+                y[b] = row[-1]
+        return y
+
+    def _check(self) -> None:
+        # the duals and weights certify each other, in integers over D:
+        # y >= 0 (basic right-hand sides), f >= 0 (slack reduced costs),
+        # equal sums, and f covers every row
+        T, D, t = self.T, self.D, self.nrows
+        weights = T[-1][t:-1]
+        if any(row[-1] < 0 for row in T[:-1]) or any(w < 0 for w in weights):
+            raise ArithmeticError("basis is not both primal and dual feasible")
+        if sum(weights) != sum(self.duals()):
+            raise ArithmeticError("primal/dual objective mismatch")
+        for j in range(t):
+            if sum(w for w, c in zip(weights, self.columns) if (c >> j) & 1) < D:
+                raise ArithmeticError(f"extracted primal leaves row {j} uncovered")
+
+    def solution(self) -> Tuple[Fraction, list, list]:
+        """(optimum, y, f) as exact Fractions, y per row, f per column."""
+        D = self.D
+        y = self.duals()
+        return (Fraction(sum(y), D), [Fraction(v, D) for v in y],
+                [Fraction(w, D) for w in self.T[-1][self.nrows:-1]])
 
 
 def solve_covering(columns: Sequence[int], nrows: int) -> Tuple[Fraction, list, list]:
@@ -32,76 +195,4 @@ def solve_covering(columns: Sequence[int], nrows: int) -> Tuple[Fraction, list, 
     """
     if nrows == 0:
         return ZERO, [], [ZERO] * len(columns)
-    covered = 0
-    for c in columns:
-        covered |= c
-    if covered != (1 << nrows) - 1:
-        raise ValueError("some row is uncovered by every column")
-    m = len(columns)
-    ncols = nrows + m
-    # dual tableau rows: one constraint per pattern; columns y_0..y_{t-1},
-    # slacks, right-hand side; the last row holds the reduced costs
-    T = []
-    for i, pat in enumerate(columns):
-        row = [(pat >> j) & 1 for j in range(nrows)] + [0] * m + [1]
-        row[nrows + i] = 1
-        T.append(row)
-    T.append([-1] * nrows + [0] * (m + 1))
-    cost_row = T[m]
-    basis = list(range(nrows, ncols))
-    D = 1
-
-    while True:
-        enter = -1
-        for j in range(ncols):
-            if cost_row[j] < 0:
-                enter = j   # Bland: lowest index wins
-                break
-        if enter < 0:
-            break
-        # ratio test T[i][-1] / T[i][enter] by cross-multiplication (D > 0)
-        leave = -1
-        for i in range(m):
-            a = T[i][enter]
-            if a > 0:
-                if leave < 0:
-                    leave = i
-                    continue
-                lhs = T[i][-1] * T[leave][enter]
-                rhs = T[leave][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
-        if leave < 0:
-            raise ArithmeticError("dual LP unbounded; covering LP infeasible")
-        prow = T[leave]
-        p = prow[enter]
-        # every other row is rescaled by p / D, also where its entering
-        # entry is 0 (a no-op only when p == D)
-        for i in range(m + 1):
-            if i != leave:
-                row = T[i]
-                factor = row[enter]
-                if factor:
-                    T[i] = [(v * p - factor * w) // D for v, w in zip(row, prow)]
-                elif p != D:
-                    T[i] = [v * p // D for v in row]
-        cost_row = T[m]
-        basis[leave] = enter
-        D = p
-
-    # strong duality and primal feasibility are cheap, check them always, in
-    # integers over D: y_j = T[i][-1] / D for the row i where y_j is basic,
-    # f_i = cost_row[nrows + i] / D (cost_row[-1] holds the objective)
-    y = [ZERO] * nrows
-    dual_sum = 0
-    for i in range(m):
-        if basis[i] < nrows:
-            y[basis[i]] = Fraction(T[i][-1], D)
-            dual_sum += T[i][-1]
-    weights = cost_row[nrows:-1]
-    if sum(weights) != dual_sum:
-        raise ArithmeticError("primal/dual objective mismatch")
-    for j in range(nrows):
-        if sum(w for w, c in zip(weights, columns) if (c >> j) & 1) < D:
-            raise ArithmeticError(f"extracted primal leaves row {j} uncovered")
-    return Fraction(dual_sum, D), y, [Fraction(w, D) for w in weights]
+    return CoveringLP(columns, nrows).solution()

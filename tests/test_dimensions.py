@@ -19,13 +19,14 @@ from ordim import (BudgetExceeded, InvalidRealizer, MalformedCertificate,
                    standard_example_number, verify_convex_realizer,
                    verify_distinguishing, verify_fractional_realizer,
                    verify_realizer)
+from ordim import dimensions
 from ordim.constructions import jkn
 from ordim.dimensions import DimensionReport, DistinguishingSequence
 from ordim.order import extend_reversing
 from ordim.serialize import report_to_json
 from ordim.simplex import solve_covering
 
-from posets import chain, random_poset, std_example
+from posets import antichain, chain, random_poset, std_example
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +241,39 @@ def test_fdim_pinned_values(G, value):
     res = fractional_dimension(G.poset)
     assert res.fdim == value
     assert verify_fractional_realizer(G.poset, res.realizer) == (True, value)
+
+
+@pytest.mark.parametrize("n, value, most", [
+    (8, Fraction(37, 13), 1000), (10, Fraction(92, 31), 4500),
+])
+def test_fdim_warm_start_pivots(n, value, most):
+    # one tableau across all rounds: each new column costs a few dual
+    # pivots, not a re-solve from the slack basis
+    P = pkn(1, n).poset
+    res = fractional_dimension(P)
+    assert res.fdim == value
+    assert res.pivots <= most
+    assert verify_fractional_realizer(P, res.realizer) == (True, value)
+
+
+def test_fdim_seeds_skip_pairs_already_reversed(monkeypatch):
+    # a seed grows one greedy reversible set from a pair no earlier seed
+    # reverses; the antichain's 19 * 18 critical pairs need 19 seeds
+    calls = [0]
+    adds_cycle = dimensions._adds_cycle
+
+    def counted(M, members, p):
+        calls[0] += 1
+        return adds_cycle(M, members, p)
+
+    monkeypatch.setattr(dimensions, "_adds_cycle", counted)
+    P = antichain(19)
+    t = len(P.pair_data[0])
+    assert t == 342
+    res = fractional_dimension(P)
+    assert res.fdim == 2
+    assert verify_fractional_realizer(P, res.realizer) == (True, 2)
+    assert calls[0] <= 19 * t
 
 
 def test_fdim_budget_gives_sound_interval():

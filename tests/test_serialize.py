@@ -70,12 +70,12 @@ def test_dot_export():
 # sha256 of the ordim/report/1 text of analyze() on each geometry and on its
 # bare poset: a change to any value, certificate or warning shows up here
 REPORT_SHA256 = {
-    "pkn(1,5)": ("ff95b991f975025d9e6ec504c29803eaa14e9c1d76111078f67d51eb2c3b2582",
-                 "a66e7ce47f2e24a60ebf53829277444df168c739020883fa3419e1d5feb50170"),
-    "pkn(1,6)": ("fef4623bc323ec4a4bd17c6a5d8fbcbebd8f598da5b60b0978e25d92a7ad0e77",
-                 "963d73bad8b7bbfeafba1da453fe97a51dc6630cbe2af6c12ee525fecdd1a32b"),
-    "pkn(2,6)": ("d05222eea5e75d917ba3329d45af9753bc32f3f0be347737281c128d9a56233a",
-                 "98d714669d5e21471602bf3eac3fafc330ec4fd31fade51ea8057d298c1cc2b8"),
+    "pkn(1,5)": ("89a0546400145485d4aadef8fe8cac6280d86148c5912d9fdf8719167ca0a72d",
+                 "c72ed36fc9f0f397f612786a8707792f6b6ef514c5525182c71f93101ad62f7d"),
+    "pkn(1,6)": ("9cbe00cb1df17f0fa12cd2add1e51f6359c327fb0c2b048fd65432e10068a3cf",
+                 "f100fb4abc325653f5d4c8efa70fe69056fb02eefd09bf70ef9d25884b4b03d7"),
+    "pkn(2,6)": ("ba6726c0ebe1cd1ea027ce9aa8a00149d5de97eaf220643dc27217e451e3ab46",
+                 "1253fc1998470bb488fd94ed6d16ad55be50613091b83bc6d600fd3949c354ea"),
     "pn(4)": ("e6df9b5e9f5ec004118dd9aec18db280d05db656cea65a8efa09674b5a729cfc",
               "42c9a8130fd262c66a7589f09bf6f8de05ccd83b40900496a0fc81a12c107b59"),
     "random(5,3,1)": ("6b3fc23891b12478abe91f7548910f45cb5ebae4c1d2436527c2671e5d720105",
@@ -90,8 +90,8 @@ REPORT_SHA256 = {
                       "7d3a954d0ba18e5b491347015530c58d6610cb1b7096aa72a3817966330168c6"),
     "random(8,2,6)": ("cd2ca51ce43dba6de29303c82192ea65f749cfc2751da714239c7a7ebdc93682",
                       "4fe551eb81aa5769e4a095727682ff5f6babfe31316ca1d5bd722f6ffde47566"),
-    "random(7,4,7)": ("a40e161eab6db11d6618a0c669583a8c2afb8e56b0a63af20c6c7a76901b570c",
-                      "f1f4bc23d56949f7f9b5bdc27be33ece4d47eb58a4601ded3e244df01b25ce42"),
+    "random(7,4,7)": ("43ed59ce667b65e037b5e602ef54c22bc83b558661a98841b737f3febc9e4704",
+                      "3146c20bcf5ca48c771f7776162e20651695f8e1f4da2be700284eede804a18a"),
 }
 
 

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordim import fractional_dimension, pkn, simplex
-from ordim.simplex import solve_covering
+from ordim.simplex import CoveringLP, solve_covering
 
 
 def test_identity_columns():
@@ -61,10 +62,14 @@ def test_duality_gap_zero_random():
 
 # --- reference oracle: the same Bland pivots on a dense Fraction tableau ----
 
-def _reference_solve_covering(columns, nrows):
-    """Dense Fraction tableau, Bland's rule, reduced costs recomputed."""
+def _reference_solve_covering(columns, nrows, added=()):
+    """Dense Fraction tableau, Bland's rule, reduced costs recomputed. Each
+    column of `added` then joins as one more dual row, and dual-simplex
+    pivots with Bland's rule (leave at the lowest basic index among negative
+    right-hand sides, enter at the least ratio, lowest index among ties)
+    re-optimise it."""
     if nrows == 0:
-        return Fraction(0), [], [Fraction(0)] * len(columns)
+        return Fraction(0), [], [Fraction(0)] * (len(columns) + len(added))
     m = len(columns)
     ncols = nrows + m
     A = []
@@ -77,8 +82,17 @@ def _reference_solve_covering(columns, nrows):
     basis = list(range(nrows, ncols))
 
     def reduced_cost(j):
-        z = sum((cost[basis[i]] * A[i][j] for i in range(m)), Fraction(0))
+        z = sum((cost[basis[i]] * A[i][j] for i in range(len(A))), Fraction(0))
         return z - cost[j]
+
+    def pivot(leave, enter):
+        piv = A[leave][enter]
+        A[leave] = [v / piv for v in A[leave]]
+        for i in range(len(A)):
+            if i != leave and A[i][enter]:
+                factor = A[i][enter]
+                A[i] = [v - factor * w for v, w in zip(A[i], A[leave])]
+        basis[leave] = enter
 
     while True:
         enter = next((j for j in range(ncols) if reduced_cost(j) < 0), -1)
@@ -91,18 +105,34 @@ def _reference_solve_covering(columns, nrows):
                 r = A[i][-1] / a
                 if best is None or r < best or (r == best and basis[i] < basis[leave]):
                     best, leave = r, i
-        piv = A[leave][enter]
-        A[leave] = [v / piv for v in A[leave]]
-        for i in range(m):
-            if i != leave and A[i][enter]:
-                factor = A[i][enter]
-                A[i] = [v - factor * w for v, w in zip(A[i], A[leave])]
-        basis[leave] = enter
+        pivot(leave, enter)
+    for pat in added:
+        for row in A:
+            row.insert(-1, Fraction(0))
+        row = [Fraction((pat >> j) & 1) for j in range(nrows)]
+        row += [Fraction(0)] * len(A) + [Fraction(1), Fraction(1)]
+        for i, b in enumerate(basis):
+            if b < nrows and (pat >> b) & 1:
+                row = [v - w for v, w in zip(row, A[i])]
+        basis.append(nrows + len(A))
+        cost.append(0)
+        A.append(row)
+        while True:
+            negative = [i for i in range(len(A)) if A[i][-1] < 0]
+            if not negative:
+                break
+            leave = min(negative, key=lambda i: basis[i])
+            enter, best = -1, None
+            for j in range(len(A[leave]) - 1):
+                a = A[leave][j]
+                if a < 0 and (best is None or reduced_cost(j) / -a < best):
+                    best, enter = reduced_cost(j) / -a, j
+            pivot(leave, enter)
     y = [Fraction(0)] * nrows
-    for i in range(m):
+    for i in range(len(A)):
         if basis[i] < nrows:
             y[basis[i]] = A[i][-1]
-    f = [reduced_cost(nrows + i) for i in range(m)]
+    f = [reduced_cost(nrows + i) for i in range(len(A))]
     return sum(y, Fraction(0)), y, f
 
 
@@ -135,18 +165,76 @@ def test_matches_reference_on_random_lps():
     assert fractional >= 200
 
 
+def _assert_optimal(cols, nrows, got):
+    """got = (opt, y, f) is a certified optimum of the covering LP on cols:
+    the cold reference reaches the same value, y and f are feasible, and
+    their sums meet. Only the value is compared with the cold reference,
+    since a warm start may end at another optimal vertex."""
+    opt, y, f = got
+    assert opt == _reference_solve_covering(cols, nrows)[0], (cols, nrows)
+    assert len(y) == nrows and len(f) == len(cols)
+    assert all(v >= 0 for v in y) and all(w >= 0 for w in f)
+    for c in cols:
+        assert sum(y[j] for j in range(nrows) if (c >> j) & 1) <= 1
+    for j in range(nrows):
+        assert sum(w for w, c in zip(f, cols) if (c >> j) & 1) >= 1
+    assert sum(f) == sum(y) == opt
+
+
+@st.composite
+def warm_covering_lps(draw):
+    """A feasible start and columns to add one at a time; columns of one
+    size, repeats and the empty column make ties and degenerate pivots."""
+    nrows = draw(st.integers(1, 9))
+    size = draw(st.integers(1, nrows))
+    column = st.lists(st.integers(0, nrows - 1), min_size=size, max_size=size,
+                      unique=True).map(lambda js: sum(1 << j for j in js))
+    start = draw(st.lists(column, min_size=1, max_size=6))
+    covered = 0
+    for c in start:
+        covered |= c
+    start += [1 << j for j in range(nrows) if not (covered >> j) & 1]
+    added = draw(st.lists(column | st.sampled_from(start) | st.just(0),
+                          min_size=1, max_size=12))
+    return nrows, start, added
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(warm_covering_lps())
+def test_warm_start_matches_reference_after_every_add(case):
+    nrows, start, added = case
+    lp = CoveringLP(start, nrows)
+    cols = list(start)
+    assert lp.solution() == _reference_solve_covering(cols, nrows)
+    for k, c in enumerate(added, 1):
+        lp.add(c)
+        cols.append(c)
+        got = lp.solution()
+        _assert_optimal(cols, nrows, got)
+        # the same dual pivots in Fractions reach the same vertex
+        assert got == _reference_solve_covering(start, nrows, added[:k])
+
+
 def test_matches_reference_on_recorded_fdim_lps(monkeypatch):
-    calls = []
+    rounds = []
 
-    def record(columns, nrows):
-        calls.append((list(columns), nrows))
-        return solve_covering(columns, nrows)
+    class Recording(CoveringLP):
+        def __init__(self, columns, nrows):
+            super().__init__(columns, nrows)
+            self.start = list(columns)
+            rounds.append((self.start, [], nrows, self.solution()))
 
-    monkeypatch.setattr(simplex, "solve_covering", record)
+        def add(self, column):
+            super().add(column)
+            rounds.append((self.start, self.columns[len(self.start):],
+                           self.nrows, self.solution()))
+
+    monkeypatch.setattr(simplex, "CoveringLP", Recording)
     for n in (5, 6):
         fractional_dimension(pkn(1, n).poset)
     monkeypatch.undo()
     # the rounds column generation takes under the branch-and-bound pricing
-    assert len(calls) == 39
-    for cols, nrows in calls:
-        assert solve_covering(cols, nrows) == _reference_solve_covering(cols, nrows)
+    assert len(rounds) == 39
+    for start, added, nrows, got in rounds:
+        _assert_optimal(start + added, nrows, got)
+        assert got == _reference_solve_covering(start, nrows, added)
