@@ -6,15 +6,13 @@ certificates, and machine-check the structural theorems on enumerated and
 random instances.
 """
 
-from .errors import (AxiomViolation, BudgetExceeded, CountExceeded, CycleError,
-                     GroundMismatch, InvalidRealizer, MalformedCertificate,
-                     MaxTriesExceeded, NotDistinguishing, NotMeetIrreducible,
-                     OrdimError, ParamRange, TooManyExtensions)
-from .order import (Poset, WidthResult, count_linear_extensions, critical_pairs,
-                    downset_lattice, find_standard_example, incomparable_pairs,
-                    is_reversible, linear_extensions, max_down_degree,
-                    poset_from_relation, standard_example_number,
-                    strict_alternating_cycles, width)
+from .errors import (AxiomViolation, BudgetExceeded, CycleError, GroundMismatch,
+                     InvalidRealizer, MalformedCertificate, MaxTriesExceeded,
+                     NotDistinguishing, NotMeetIrreducible, OrdimError,
+                     ParamRange, TooManyExtensions)
+from .order import (Poset, WidthResult, critical_pairs, downset_lattice,
+                    find_standard_example, max_down_degree, poset_from_relation,
+                    standard_example_number, width)
 from .certificates import (BooleanRealizer, FractionalRealizer, LocalRealizer,
                            Realizer, verify_boolean_realizer,
                            verify_fractional_realizer, verify_local_realizer,
@@ -22,7 +20,7 @@ from .certificates import (BooleanRealizer, FractionalRealizer, LocalRealizer,
 from .geometry import (ConvexGeometry, ConvexRealizer, SetFamily,
                        check_boolean_property, critical_pair_of_meet_irreducible,
                        geometry_critical_pairs, join_geometries, mask_to_set,
-                       maximal_chains, set_to_mask, validate_convex_geometry,
+                       set_to_mask, validate_convex_geometry,
                        vc_dimension_shattering, verify_convex_realizer)
 from .constructions import (boolean_algebra, enumerate_geometries, jkn,
                             linear_geometry, pkn, qn_pn, random_geometry)

@@ -68,7 +68,7 @@ def _cmd_gen(args) -> int:
         fam = random_geometry(args.n, args.t, seed).family
         meta = {"seed": seed, "t": args.t}
     elif kind == "enumerate":
-        fams = [g.family for g in enumerate_geometries(args.n, args.allow_ground_5)]
+        fams = [g.family for g in enumerate_geometries(args.n)]
         doc = serialize.families_to_json(args.n, fams)
         _write_out(serialize.dumps(doc), args.out)
         return EXIT_OK
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--t", type=int, default=3, help="random: number of joined orders")
     g.add_argument("--seed", type=int)
     g.add_argument("--perm", help="linear: comma separated permutation")
-    g.add_argument("--allow-ground-5", action="store_true")
     g.add_argument("--out")
     g.set_defaults(func=_cmd_gen)
 

@@ -147,18 +147,16 @@ def random_geometry(n: int, t: int, seed: int) -> ConvexGeometry:
     return validate_convex_geometry(SetFamily.from_masks(n, current))
 
 
-def enumerate_geometries(n: int, allow_ground_5: bool = False) -> Iterator[ConvexGeometry]:
-    """Every labeled convex geometry on {1..n}, exactly once.
+def enumerate_geometries(n: int) -> Iterator[ConvexGeometry]:
+    """Every labeled convex geometry on {1..n}, exactly once, for 1 <= n <= 5.
 
     Families are grown one set at a time in canonical (size, value) order,
     keeping intersection closure and one-element accessibility as invariants;
     a state is emitted when it contains the ground set and passes the
-    extension axiom. Hard cap at n=4; n=5 only behind the override flag
-    (59k geometries, noticeably slower).
+    extension axiom. n = 5 gives 59,386 geometries and takes over a minute.
     """
-    if n < 1 or n > 5 or (n == 5 and not allow_ground_5):
-        raise ParamRange("enumeration supports 1 <= n <= 4 "
-                         "(n=5 with allow_ground_5=True)")
+    if not 1 <= n <= 5:
+        raise ParamRange("enumeration supports 1 <= n <= 5")
     full = (1 << n) - 1
     key = lambda m: (m.bit_count(), m)
     results = []

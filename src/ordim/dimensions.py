@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Optional, Sequence
 
 from .certificates import (BooleanRealizer, FractionalRealizer, Realizer,
@@ -32,6 +33,7 @@ from .geometry import (ConvexGeometry, ConvexRealizer, mask_to_set,
 from .order import (Poset, _adds_cycle, _bits, _clique, _heaviest_reversible,
                     extend_reversing, max_down_degree, standard_example_number,
                     width)
+from .simplex import CoveringLP
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +195,6 @@ def fractional_dimension(P: Poset, budget: Optional[int] = None) -> FdimResult:
     best Farley bound opt / v, with v the largest price a round found, or,
     for the interrupted round, an upper bound on it.
     """
-    from .simplex import CoveringLP
-
     rows, M, _, _ = P.pair_data
     if not rows:
         ext = extend_reversing(P, [])
@@ -339,10 +339,14 @@ def verify_distinguishing(k: int, n: int, seq: DistinguishingSequence):
 
     Returns (True, None) or (False, failing_member_set). The condition for
     member prefix+B at index i: some mark of Y_i appears in no Y_j with j in B.
-    A set with a mark outside 1..t raises MalformedCertificate.
+    A negative t, or a set with a mark outside 1..t, raises
+    MalformedCertificate.
     """
     if len(seq.sets) != n:
         raise ParamRange(f"need {n} sets, got {len(seq.sets)}")
+    if seq.t < 0:
+        raise MalformedCertificate(
+            f"malformed distinguishing sequence: t = {seq.t} is negative")
     for i, y in enumerate(seq.sets, 1):
         if y >> seq.t:
             raise MalformedCertificate(
@@ -458,7 +462,6 @@ def boolean_dimension_exact(P: Poset, max_t: int = 4,
     their separation behavior; search is exhaustive per size with an early
     exit on success. Returns (bdim, BooleanRealizer).
     """
-    from itertools import permutations
     n = P.n
     if n > 6:
         raise ParamRange("exhaustive Boolean dimension needs <= 6 elements")

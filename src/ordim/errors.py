@@ -13,10 +13,6 @@ class CycleError(OrdimError):
         super().__init__(f"relation has a cycle: {self.cycle}")
 
 
-class CountExceeded(OrdimError):
-    """An enumeration produced more items than the caller allowed."""
-
-
 class AxiomViolation(OrdimError):
     """A set family failed one of the three convex geometry axioms.
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import (AxiomViolation, GroundMismatch, NotMeetIrreducible,
@@ -281,7 +282,6 @@ def vc_dimension_shattering(family: SetFamily) -> int:
     first size with no shattered subset (traces of subsets of a shattered set
     are shattered, so the exit is sound).
     """
-    from itertools import combinations
     masks = family.masks
     singletons = [1 << e for e in range(family.ground_n)]
     for size in range(1, family.ground_n + 1):
@@ -376,25 +376,3 @@ def verify_convex_realizer(G: ConvexGeometry, perms: Sequence[Sequence[int]]) ->
             return False
     current = _join_masks(linear_geometry_masks(p) for p in perms)
     return _canonical(current) == G.masks
-
-
-def maximal_chains(G: ConvexGeometry) -> list:
-    """Every maximal chain, reported as its compatible order (1-based)."""
-    n = G.ground_n
-    bottom = G.member_index(0)
-    top = G.member_index((1 << n) - 1)
-    out = []
-    path = []
-
-    def rec(i):
-        if i == top:
-            out.append(tuple(path))
-            return
-        for j in G.poset.cover_succ[i]:
-            added = G.masks[j] & ~G.masks[i]
-            path.append(added.bit_length())  # single added element, 1-based
-            rec(j)
-            path.pop()
-
-    rec(bottom)
-    return out

@@ -52,9 +52,18 @@ def _indices(seq) -> tuple:
     permutation check (0.0 == 0, true == 1) and then fail, or be misread,
     as an index, so every entry must be an int proper."""
     out = tuple(seq)
-    if not all(type(x) is int for x in out):
+    if not {int}.issuperset(map(type, out)):
         raise MalformedCertificate(f"malformed element list {seq!r}: not all ints")
     return out
+
+
+def _count(value, field: str) -> int:
+    """A count or size as a JSON integer >= 0. int() would read true as 1
+    and 2.9 as 2, and a negative t would make a shift count negative."""
+    if type(value) is not int or value < 0:
+        raise MalformedCertificate(
+            f"malformed {field} {value!r}: not an integer >= 0")
+    return value
 
 
 def _weight(text) -> Fraction:
@@ -108,7 +117,8 @@ def family_from_json(doc: dict) -> SetFamily:
     with _shape("set family"):
         if doc.get("schema") != SCHEMAS["setfamily"]:
             raise MalformedCertificate(f"not a set family document: {doc.get('schema')!r}")
-        return SetFamily.from_sets(int(doc["ground"]), doc["sets"])
+        return SetFamily.from_sets(_count(doc["ground"], "ground"),
+                                   [_indices(s) for s in doc["sets"]])
 
 
 def poset_to_json(P: Poset) -> dict:
@@ -126,8 +136,8 @@ def poset_from_json(doc: dict) -> Poset:
     with _shape("poset"):
         if doc.get("schema") != SCHEMAS["poset"]:
             raise MalformedCertificate(f"not a poset document: {doc.get('schema')!r}")
-        return poset_from_relation(int(doc["n"]),
-                                   [tuple(p) for p in doc["relation"]],
+        return poset_from_relation(_count(doc["n"], "n"),
+                                   [_indices(p) for p in doc["relation"]],
                                    labels=doc.get("labels"))
 
 
@@ -203,9 +213,9 @@ def certificate_from_json(doc: dict):
                 (_indices(item["extension"]), _weight(item["weight"]))
                 for item in doc["weighted"]))
         if schema == SCHEMAS["distinguishing"]:
-            t = int(doc["t"])
+            t = _count(doc["t"], "t")
             return DistinguishingSequence(
-                int(doc["k"]), int(doc["n"]), t,
+                _count(doc["k"], "k"), _count(doc["n"], "n"), t,
                 tuple(_marks(marks, t) for marks in doc["sets"]))
         raise MalformedCertificate(f"unknown certificate schema {schema!r}")
 

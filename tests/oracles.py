@@ -1,0 +1,167 @@
+"""Brute-force oracles and helpers that only the tests use.
+
+No solver, CLI command or benchmark workload calls these, so they live with
+the tests rather than in `ordim`. Three of them recurse as deep as the
+instance is large, which a library routine may not.
+"""
+
+from ordim import ParamRange
+from ordim.order import _adds_cycle, _bits, extend_reversing, pair_digraph
+
+
+class CountExceeded(Exception):
+    """An enumeration produced more items than the caller allowed."""
+
+
+def incomparable_pairs(P):
+    """All ordered pairs (a, b) with a parallel b; both orientations appear."""
+    out = []
+    for a in range(P.n):
+        comp = P.up[a] | P.down[a]
+        for b in _bits(~comp & ((1 << P.n) - 1)):
+            out.append((a, b))
+    return out
+
+
+def linear_extensions(P, limit=None):
+    """Yield all linear extensions, smallest-available-element first.
+
+    Raises CountExceeded as soon as more than `limit` extensions would be
+    produced.
+    """
+    n = P.n
+    down_strict = [P.down[x] & ~(1 << x) for x in range(n)]
+    out_count = 0
+    ext = []
+
+    def rec(placed_mask):
+        nonlocal out_count
+        if len(ext) == n:
+            out_count += 1
+            if limit is not None and out_count > limit:
+                raise CountExceeded(f"more than {limit} linear extensions")
+            yield tuple(ext)
+            return
+        for x in range(n):
+            b = 1 << x
+            if not placed_mask & b and not down_strict[x] & ~placed_mask:
+                ext.append(x)
+                yield from rec(placed_mask | b)
+                ext.pop()
+
+    yield from rec(0)
+
+
+def is_reversible(P, pairs):
+    """Decide whether one linear extension can reverse every pair in `pairs`.
+
+    Returns (True, extension, None) or (False, None, strict_alternating_cycle)
+    where the cycle is a list of pairs from the input.
+    """
+    pairs = list(pairs)
+    for a, b in pairs:
+        if not P.incomparable(a, b):
+            raise ParamRange(f"({a},{b}) is not an incomparable pair")
+    ext = extend_reversing(P, pairs)
+    if ext is not None:
+        return True, ext, None
+    M = pair_digraph(P, pairs)
+    # q is the first pair that closes a cycle with the (acyclic) pairs before it
+    before = 0
+    for q in range(len(pairs)):
+        if _adds_cycle(M, before, q):
+            break
+        before |= 1 << q
+    else:
+        raise AssertionError("no extension but pair digraph acyclic")
+    # drop every pair some cycle through q can do without; what is left is
+    # one cycle through q, listed by walking to the one unvisited successor
+    for r in _bits(before):
+        if _adds_cycle(M, before & ~(1 << r), q):
+            before &= ~(1 << r)
+    # The cycle is strict, i.e. has no chord. Every pair left lies on every
+    # cycle through q (a pair kept could not be dropped then, and dropping
+    # others later only removes cycles). A chord into q, or one that skips
+    # forward, would close a shorter cycle through q that misses a pair; any
+    # other chord points backwards and closes a cycle that avoids q, inside
+    # the acyclic pairs before q.
+    cyc = [q]
+    step = M[q] & before
+    while step:
+        v = step.bit_length() - 1
+        cyc.append(v)
+        before &= ~(1 << v)
+        step = M[v] & before
+    return False, None, [pairs[i] for i in cyc]
+
+
+def _is_strict_cycle(P, pairs, idxs):
+    k = len(idxs)
+    for i in range(k):
+        ai = pairs[idxs[i]][0]
+        for j in range(k):
+            want = (j == (i + 1) % k)
+            if bool((P.up[ai] >> pairs[idxs[j]][1]) & 1) != want:
+                return False
+    return True
+
+
+def strict_alternating_cycles(P, pairs, max_size=2):
+    """All strict alternating cycles of length <= max_size inside `pairs`.
+
+    Cycles are reported as tuples of pairs, canonically rotated to start at
+    the smallest pair index. Size 2 is an exhaustive scan; larger sizes via
+    DFS over the pair digraph.
+    """
+    pairs = list(pairs)
+    rows = pair_digraph(P, pairs)
+    t = len(pairs)
+    found = []
+    for p in range(t):
+        for q in _bits(rows[p] & ~((1 << (p + 1)) - 1)):
+            if (rows[q] >> p) & 1 and _is_strict_cycle(P, pairs, [p, q]):
+                found.append((pairs[p], pairs[q]))
+    if max_size <= 2:
+        return found
+    seen = set()
+
+    def dfs(start, path, visited):
+        if len(path) > max_size:
+            return
+        v = path[-1]
+        for w in _bits(rows[v]):
+            if w == start and len(path) >= 3:
+                if _is_strict_cycle(P, pairs, path):
+                    key = tuple(path)
+                    if key not in seen:
+                        seen.add(key)
+                        found.append(tuple(pairs[i] for i in path))
+            elif w > start and w not in visited and len(path) < max_size:
+                dfs(start, path + [w], visited | {w})
+
+    for p in range(t):
+        dfs(p, [p], {p})
+    return found
+
+
+def maximal_chains(G):
+    """Every maximal chain of a convex geometry, reported as its compatible
+    order (1-based)."""
+    n = G.ground_n
+    bottom = G.member_index(0)
+    top = G.member_index((1 << n) - 1)
+    out = []
+    path = []
+
+    def rec(i):
+        if i == top:
+            out.append(tuple(path))
+            return
+        for j in G.poset.cover_succ[i]:
+            added = G.masks[j] & ~G.masks[i]
+            path.append(added.bit_length())  # single added element, 1-based
+            rec(j)
+            path.pop()
+
+    rec(bottom)
+    return out

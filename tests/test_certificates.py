@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordim import (BooleanRealizer, FractionalRealizer, LocalRealizer,
-                   MalformedCertificate, Realizer, linear_extensions,
-                   poset_from_relation, verify_boolean_realizer,
-                   verify_fractional_realizer, verify_local_realizer,
-                   verify_realizer)
+                   MalformedCertificate, Realizer, poset_from_relation,
+                   verify_boolean_realizer, verify_fractional_realizer,
+                   verify_local_realizer, verify_realizer)
 from ordim.certificates import (is_linear_extension,
                                 realizer_from_reversible_classes)
 
+from oracles import linear_extensions
 from posets import std_example
 
 

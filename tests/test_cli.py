@@ -106,6 +106,13 @@ DEEP = "[" * 100_000 + "]" * 100_000
      ["verify", "--kind", "distinguishing"]),
     (P15, dict(DIST, sets=[[1, 1, 2, 3]] + DIST["sets"][1:]),
      ["verify", "--kind", "distinguishing"]),
+    (P15, dict(DIST, t=-1, sets=[[]] * 5), ["verify", "--kind", "distinguishing"]),
+    (P15, dict(DIST, k=True), ["verify", "--kind", "distinguishing"]),
+    (dict(P14, ground=True, sets=[[], [1]]), None, ["compute"]),
+    (dict(P14, ground=2.9), None, ["compute"]),
+    (dict(ANTICHAIN2, n=2.5), None, ["compute"]),
+    (dict(ANTICHAIN2, n=3, relation=[[True, 2]]), None, ["compute"]),
+    (dict(P14, ground=1, sets=[[], [True]]), None, ["compute"]),
     (DEEP, None, ["compute"]),
     (P14, DEEP, ["verify", "--kind", "realizer"]),
 ], ids=["top-level-array", "realizer-without-extensions",
@@ -113,7 +120,9 @@ DEEP = "[" * 100_000 + "]" * 100_000
         "overflowing-weight", "zero-denominator-weight", "realizer-float-entry",
         "realizer-bool-entry", "fractional-float-entry", "number-weights",
         "bool-weight", "boolean-int-query-string", "marks-above-t",
-        "mark-zero", "bool-mark", "repeated-mark", "deep-input",
+        "mark-zero", "bool-mark", "repeated-mark", "negative-t", "bool-k",
+        "bool-ground", "float-ground", "float-poset-size",
+        "bool-relation-entry", "bool-set-entry", "deep-input",
         "deep-certificate"])
 def test_malformed_documents_exit_2(tmp_path, capsys, doc, cert, argv):
     """doc and cert are JSON values, or raw JSON text for what json.dumps

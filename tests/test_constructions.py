@@ -131,6 +131,6 @@ def test_enumerate_counts():
 
 def test_enumerate_guard():
     with pytest.raises(ParamRange):
-        list(enumerate_geometries(5))
+        list(enumerate_geometries(0))
     with pytest.raises(ParamRange):
-        list(enumerate_geometries(6, allow_ground_5=True))
+        list(enumerate_geometries(6))

@@ -12,9 +12,9 @@ from ordim import (BudgetExceeded, InvalidRealizer, MalformedCertificate,
                    analyze, binary_distinguishing, boolean_algebra,
                    boolean_dimension_exact, convex_dimension,
                    distinguishing_to_realizer, dm_dimension,
-                   fractional_dimension, incomparable_pairs, linear_extensions,
-                   linear_geometry, pkn, pkn_fractional_certificate,
-                   poset_from_relation, qn_pn, randomized_distinguishing,
+                   fractional_dimension, linear_geometry, pkn,
+                   pkn_fractional_certificate, poset_from_relation, qn_pn,
+                   randomized_distinguishing,
                    realizer_to_distinguishing, set_to_mask,
                    standard_example_number, verify_convex_realizer,
                    verify_distinguishing, verify_fractional_realizer,
@@ -26,6 +26,7 @@ from ordim.order import extend_reversing
 from ordim.serialize import report_to_json
 from ordim.simplex import solve_covering
 
+from oracles import incomparable_pairs, is_reversible, linear_extensions
 from posets import antichain, chain, random_poset, std_example
 
 
@@ -67,7 +68,7 @@ def test_dim_realizer_always_verifies():
 def test_dim_minimality_against_bruteforce():
     # brute force: try all covers of critical pairs by k reversible sets
     from itertools import product
-    from ordim import critical_pairs, is_reversible
+    from ordim import critical_pairs
     rng = random.Random(37)
     for _ in range(12):
         P = random_poset(rng, 6)
@@ -355,6 +356,9 @@ def test_marks_above_t_are_malformed():
     negative = DistinguishingSequence(1, 5, 3, seq.sets[:4] + (-1,))
     with pytest.raises(MalformedCertificate):
         verify_distinguishing(1, 5, negative)
+    # a negative t is refused before the marks test shifts each set by t
+    with pytest.raises(MalformedCertificate):
+        verify_distinguishing(1, 5, DistinguishingSequence(1, 5, -1, (0,) * 5))
 
 
 def test_distinguishing_roundtrip():

@@ -10,12 +10,14 @@ from ordim import (AxiomViolation, ConvexGeometry, GroundMismatch, SetFamily,
                    boolean_algebra, check_boolean_property,
                    critical_pair_of_meet_irreducible, critical_pairs,
                    enumerate_geometries, geometry_critical_pairs,
-                   join_geometries, linear_geometry, mask_to_set,
-                   maximal_chains, pkn, poset_from_relation, qn_pn,
-                   random_geometry, set_to_mask, validate_convex_geometry,
-                   vc_dimension_shattering, verify_convex_realizer)
+                   join_geometries, linear_geometry, mask_to_set, pkn,
+                   poset_from_relation, qn_pn, random_geometry, set_to_mask,
+                   validate_convex_geometry, vc_dimension_shattering,
+                   verify_convex_realizer)
 from ordim.constructions import jkn
 from ordim.geometry import set_label
+
+from oracles import maximal_chains
 
 
 def family(n, *sets):

@@ -5,12 +5,11 @@ from itertools import combinations
 
 from ordim import (Realizer, boolean_algebra, critical_pairs,
                    enumerate_geometries, find_standard_example,
-                   geometry_critical_pairs, incomparable_pairs, jkn,
-                   linear_extensions, max_down_degree, pkn, random_geometry,
-                   strict_alternating_cycles, vc_dimension_shattering,
-                   verify_realizer)
+                   geometry_critical_pairs, jkn, max_down_degree, pkn,
+                   random_geometry, vc_dimension_shattering, verify_realizer)
 from ordim.certificates import is_linear_extension
 
+from oracles import linear_extensions, strict_alternating_cycles
 from posets import random_poset
 
 

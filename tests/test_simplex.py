@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordim import fractional_dimension, pkn, simplex
+from ordim import dimensions, fractional_dimension, pkn
 from ordim.simplex import CoveringLP, solve_covering
 
 
@@ -229,7 +229,7 @@ def test_matches_reference_on_recorded_fdim_lps(monkeypatch):
             rounds.append((self.start, self.columns[len(self.start):],
                            self.nrows, self.solution()))
 
-    monkeypatch.setattr(simplex, "CoveringLP", Recording)
+    monkeypatch.setattr(dimensions, "CoveringLP", Recording)
     for n in (5, 6):
         fractional_dimension(pkn(1, n).poset)
     monkeypatch.undo()
