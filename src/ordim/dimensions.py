@@ -1,15 +1,15 @@
 """Exact solvers and certificate builders for the dimension parameters.
 
 Order dimension is computed by covering critical pairs with reversible
-classes (iterative deepening with incremental acyclicity pruning), convex
-dimension by the width of the meet-irreducible subposet, and fractional
-dimension by an exact rational LP with column generation priced by a
-branch and bound over reversible sets of critical pairs. `dim`, `se` and
-`fdim` read their pairs and pair relations from the poset's cached
-`Poset.pair_data`, for posets and geometries alike: extensions reversing
-every critical pair reverse every incomparable pair (Trotter 1992). Every
-returned number carries a certificate its verifier accepts; one that fails
-raises AssertionError.
+classes (iterative deepening with incremental acyclicity pruning and
+forward checking on mutual arcs), convex dimension by the width of the
+meet-irreducible subposet, and fractional dimension by an exact rational
+LP with column generation priced by a branch and bound over reversible
+sets of critical pairs. `dim`, `se` and `fdim` read their pairs and pair
+relations from the poset's cached `Poset.pair_data`, for posets and
+geometries alike: extensions reversing every critical pair reverse every
+incomparable pair (Trotter 1992). Every returned number carries a
+certificate its verifier accepts; one that fails raises AssertionError.
 """
 
 from __future__ import annotations
@@ -52,23 +52,36 @@ def dm_dimension(P: Poset, budget: Optional[int] = None) -> DimResult:
     Iterative deepening on the number of classes; pairs are assigned
     most-conflicted first, a class accepts a pair only while its pair digraph
     stays acyclic, and a new class may open only after all earlier ones were
-    tried. Budget counts search tree nodes; exceeding it raises
-    BudgetExceeded with the bounds proven so far.
+    tried. Two exact tests on the mutual-arc rows prune the search:
+    blocked[c], the union of the rows of the pairs in class c, rejects a
+    pair with a mutual arc into the class (a 2-cycle) without a cycle
+    search; and forward checking (Haralick-Elliott 1980) refuses a placement
+    that would leave some pair still to be placed blocked in every class
+    once all classes are open. Both cut only subtrees that hold no complete
+    cover, and the depth-first order is unchanged, so the cover found, and
+    the realizer built from it, are those of the unpruned search. Budget
+    counts search tree nodes; exceeding it raises BudgetExceeded with the
+    bounds proven so far.
     """
-    pairs, M, conflicts, _ = P.pair_data
+    pairs, M, mutual, _ = P.pair_data
     if not pairs:
         ext = extend_reversing(P, [])
         return DimResult(1, Realizer((ext,)), 0)
     t = len(pairs)
-    clique = len(_clique(conflicts, t))
-    order = sorted(range(t), key=lambda p: (-conflicts[p].bit_count(), p))
+    clique = len(_clique(mutual, t))
+    order = sorted(range(t), key=lambda p: (-mutual[p].bit_count(), p))
+    after = [0] * (t + 1)       # after[i]: the pairs order[i:]
+    for i in range(t - 1, -1, -1):
+        after[i] = after[i + 1] | 1 << order[i]
     nodes = 0
     for ncolors in range(max(2, clique), t + 1):
         # depth-first on an explicit stack: picks[i] is the class of pair
         # order[i], used[i] the classes opened by picks[:i], idx the depth
-        # and c the next class to try there; c == 0 marks a node just entered
+        # and c the next class to try there; c == 0 marks a node just entered.
+        # saved[i] is blocked[picks[i]] before order[i] joined that class.
         classes = [0] * ncolors
-        picks, used = [0] * t, [0] * (t + 1)
+        blocked = [0] * ncolors
+        picks, used, saved = [0] * t, [0] * (t + 1), [0] * t
         idx = c = 0
         while True:
             if c == 0:
@@ -83,9 +96,24 @@ def dm_dimension(P: Poset, budget: Optional[int] = None) -> DimResult:
             p = order[idx]
             u = used[idx]
             top = u + 1 if u < ncolors else ncolors
-            while c < top and _adds_cycle(M, classes[c], p):
+            row = mutual[p]
+            ahead = after[idx + 1]
+            while c < top:
+                if not (blocked[c] >> p) & 1:
+                    # the later pairs p's class would block, less those
+                    # another class could still take
+                    dead = ahead & (blocked[c] | row) if max(u, c + 1) == ncolors else 0
+                    for k in range(ncolors):
+                        if not dead:
+                            break
+                        if k != c:
+                            dead &= blocked[k]
+                    if not dead and not _adds_cycle(M, classes[c], p):
+                        break
                 c += 1
             if c < top:
+                saved[idx] = blocked[c]
+                blocked[c] |= row
                 classes[c] |= 1 << p
                 picks[idx] = c
                 idx += 1
@@ -95,6 +123,7 @@ def dm_dimension(P: Poset, budget: Optional[int] = None) -> DimResult:
                 idx -= 1
                 c = picks[idx]
                 classes[c] &= ~(1 << order[idx])
+                blocked[c] = saved[idx]
                 c += 1
             else:
                 break
@@ -195,7 +224,7 @@ def fractional_dimension(P: Poset, budget: Optional[int] = None) -> FdimResult:
     best Farley bound opt / v, with v the largest price a round found, or,
     for the interrupted round, an upper bound on it.
     """
-    rows, M, _, _ = P.pair_data
+    rows, M, mutual, _ = P.pair_data
     if not rows:
         ext = extend_reversing(P, [])
         return FdimResult(Fraction(1),
@@ -212,10 +241,11 @@ def fractional_dimension(P: Poset, budget: Optional[int] = None) -> FdimResult:
     for p in range(t):
         if (covered >> p) & 1:
             continue
-        members = 1 << p
+        members, blocked = 1 << p, mutual[p]
         for q in range(t):
-            if q != p and not _adds_cycle(M, members, q):
+            if q != p and not (blocked >> q) & 1 and not _adds_cycle(M, members, q):
                 members |= 1 << q
+                blocked |= mutual[q]
         ext = extend_reversing(P, [rows[q] for q in _bits(members)])
         pat = _reversal_pattern(ext, rows)
         covered |= pat
@@ -230,7 +260,7 @@ def fractional_dimension(P: Poset, budget: Optional[int] = None) -> FdimResult:
         # pricing search's choices unchanged
         weights = lp.duals()
         price, members, used = _heaviest_reversible(
-            M, weights, None if budget is None else budget - nodes)
+            M, mutual, weights, None if budget is None else budget - nodes)
         nodes += used
         # Farley: y divided by the largest price is dual feasible
         lower = max(lower, Fraction(sum(weights), price))

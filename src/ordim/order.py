@@ -256,45 +256,60 @@ def _adds_cycle(M, members: int, p: int) -> bool:
     return False
 
 
-def _heaviest_reversible(M, weights: Sequence[int], limit: Optional[int] = None):
+def _heaviest_reversible(M, mutual, weights: Sequence[int],
+                         limit: Optional[int] = None):
     """Heaviest reversible pair set: a maximum-weight vertex set of the pair
     digraph M whose induced subgraph is acyclic.
 
-    weights are non-negative integers. Branch and bound on an explicit
-    stack: the positive-weight pairs are decided heaviest first (lowest
-    index among ties), each included before it is excluded, included only
-    while it closes no cycle, and a node is pruned when its weight plus all
-    undecided weight cannot beat the best set so far. Returns (value,
-    members, nodes) with members the first heaviest set in that order and
-    nodes the number of nodes expanded. A search that would expand more
-    than `limit` nodes stops with members None and value the largest weight
-    plus undecided weight over its open nodes, an upper bound on the optimum.
+    weights are non-negative integers and mutual the mutual-arc rows of M.
+    Branch and bound on an explicit stack: the positive-weight pairs are
+    decided heaviest first (lowest index among ties), each included before
+    it is excluded and included only while it closes no cycle. A node
+    carries `blocked`, the union of the mutual rows of its members: a
+    blocked pair would close a 2-cycle, so it is excluded with no cycle
+    search, and its weight is taken off the node's bound. A node is pruned
+    when its weight plus the undecided weight outside `blocked` cannot beat
+    the best set so far. Returns (value, members, nodes) with members the
+    first heaviest set in that order and nodes the number of nodes
+    expanded. A search that would expand more than `limit` nodes stops with
+    members None and value the largest bound over its open nodes, an upper
+    bound on the optimum.
     """
     order = sorted((p for p, w in enumerate(weights) if w > 0),
                    key=lambda p: (-weights[p], p))
     k = len(order)
     rest = [0] * (k + 1)        # rest[i]: the weight of order[i:]
+    ahead = [0] * (k + 1)       # ahead[i]: the pairs order[i:]
     for i in range(k - 1, -1, -1):
         rest[i] = rest[i + 1] + weights[order[i]]
+        ahead[i] = ahead[i + 1] | 1 << order[i]
     best, best_set, nodes = 0, 0, 0
-    stack = [(0, 0, 0)]         # (pairs decided, members, weight)
+    # (pairs decided, members, weight, blocked, undecided weight in blocked)
+    stack = [(0, 0, 0, 0, 0)]
     while stack:
-        i, members, w = stack.pop()
-        if w + rest[i] <= best:
+        i, members, w, blocked, lost = stack.pop()
+        if w + rest[i] - lost <= best:
             continue
         if limit is not None and nodes >= limit:
             # every set not yet seen lies below this node or one on the stack
-            bound = max([w + rest[i]] + [w2 + rest[i2] for i2, _, w2 in stack])
+            bound = max(w2 + rest[i2] - lost2 for i2, _, w2, _, lost2
+                        in stack + [(i, members, w, blocked, lost)])
             return bound, None, nodes
         nodes += 1
         if w > best:
             best, best_set = w, members
+        while i < k and (blocked >> order[i]) & 1:
+            lost -= weights[order[i]]
+            i += 1
         if i == k:
             continue
         p = order[i]
-        stack.append((i + 1, members, w))
+        stack.append((i + 1, members, w, blocked, lost))
         if not _adds_cycle(M, members, p):
-            stack.append((i + 1, members | 1 << p, w + weights[p]))
+            fresh = mutual[p] & ahead[i + 1] & ~blocked
+            stack.append((i + 1, members | 1 << p, w + weights[p],
+                          blocked | mutual[p],
+                          lost + sum(weights[q] for q in _bits(fresh))))
     return best, best_set, nodes
 
 

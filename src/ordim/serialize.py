@@ -66,6 +66,16 @@ def _count(value, field: str) -> int:
     return value
 
 
+def _labels(labels, n: int):
+    """Optional element labels: a list of exactly n strings, or None. The
+    labels are written back out with the poset, one per element."""
+    if labels is not None and (type(labels) is not list or len(labels) != n
+                               or not {str}.issuperset(map(type, labels))):
+        raise MalformedCertificate(
+            f"malformed labels {labels!r}: not a list of {n} strings")
+    return labels
+
+
 def _weight(text) -> Fraction:
     """A weight written as a string ("7/10"); a JSON number 0.7 would be
     read as its binary double, not 7/10, so it is refused."""
@@ -136,9 +146,9 @@ def poset_from_json(doc: dict) -> Poset:
     with _shape("poset"):
         if doc.get("schema") != SCHEMAS["poset"]:
             raise MalformedCertificate(f"not a poset document: {doc.get('schema')!r}")
-        return poset_from_relation(_count(doc["n"], "n"),
-                                   [_indices(p) for p in doc["relation"]],
-                                   labels=doc.get("labels"))
+        n = _count(doc["n"], "n")
+        return poset_from_relation(n, [_indices(p) for p in doc["relation"]],
+                                   labels=_labels(doc.get("labels"), n))
 
 
 def read_json(path: str):

@@ -5,8 +5,9 @@ the tests rather than in `ordim`. Three of them recurse as deep as the
 instance is large, which a library routine may not.
 """
 
-from ordim import ParamRange
-from ordim.order import _adds_cycle, _bits, extend_reversing, pair_digraph
+from ordim import ParamRange, Realizer
+from ordim.certificates import realizer_from_reversible_classes
+from ordim.order import _adds_cycle, _bits, _clique, extend_reversing, pair_digraph
 
 
 class CountExceeded(Exception):
@@ -165,3 +166,50 @@ def maximal_chains(G):
 
     rec(bottom)
     return out
+
+
+def dm_dimension_unpruned(P):
+    """(dim, realizer, nodes) from the order-dimension search with no
+    mutual-arc pruning: each class tries a pair by a cycle search alone.
+
+    The reference for `dm_dimension`, whose pruning may cut only subtrees
+    without a complete cover, so both must find the same first cover.
+    """
+    pairs, M, conflicts, _ = P.pair_data
+    if not pairs:
+        return 1, Realizer((extend_reversing(P, []),)), 0
+    t = len(pairs)
+    clique = len(_clique(conflicts, t))
+    order = sorted(range(t), key=lambda p: (-conflicts[p].bit_count(), p))
+    nodes = 0
+    for ncolors in range(max(2, clique), t + 1):
+        classes = [0] * ncolors
+        picks, used = [0] * t, [0] * (t + 1)
+        idx = c = 0
+        while True:
+            if c == 0:
+                nodes += 1
+                if idx == t:
+                    break
+            p = order[idx]
+            u = used[idx]
+            top = u + 1 if u < ncolors else ncolors
+            while c < top and _adds_cycle(M, classes[c], p):
+                c += 1
+            if c < top:
+                classes[c] |= 1 << p
+                picks[idx] = c
+                idx += 1
+                used[idx] = u if c < u else c + 1
+                c = 0
+            elif idx:
+                idx -= 1
+                c = picks[idx]
+                classes[c] &= ~(1 << order[idx])
+                c += 1
+            else:
+                break
+        if idx == t:
+            groups = [[pairs[p] for p in _bits(cls)] for cls in classes if cls]
+            return ncolors, realizer_from_reversible_classes(P, groups), nodes
+    raise AssertionError("covering with one class per pair always succeeds")

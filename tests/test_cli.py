@@ -115,6 +115,8 @@ DEEP = "[" * 100_000 + "]" * 100_000
     (dict(P14, ground=1, sets=[[], [True]]), None, ["compute"]),
     (DEEP, None, ["compute"]),
     (P14, DEEP, ["verify", "--kind", "realizer"]),
+    (dict(ANTICHAIN2, labels=["a"]), None, ["compute"]),
+    (dict(ANTICHAIN2, labels=[[1], [2]]), None, ["compute"]),
 ], ids=["top-level-array", "realizer-without-extensions",
         "non-numeric-weight", "family-without-sets", "infinite-weight",
         "overflowing-weight", "zero-denominator-weight", "realizer-float-entry",
@@ -123,7 +125,7 @@ DEEP = "[" * 100_000 + "]" * 100_000
         "mark-zero", "bool-mark", "repeated-mark", "negative-t", "bool-k",
         "bool-ground", "float-ground", "float-poset-size",
         "bool-relation-entry", "bool-set-entry", "deep-input",
-        "deep-certificate"])
+        "deep-certificate", "too-few-labels", "non-string-labels"])
 def test_malformed_documents_exit_2(tmp_path, capsys, doc, cert, argv):
     """doc and cert are JSON values, or raw JSON text for what json.dumps
     cannot write (1e400, nesting past the recursion limit) or writes only

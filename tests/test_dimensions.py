@@ -4,13 +4,15 @@ distinguishing machinery, Boolean dimension, and the aggregate report."""
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordim import (BudgetExceeded, InvalidRealizer, MalformedCertificate,
                    MaxTriesExceeded, NotDistinguishing, ParamRange, Realizer,
                    analyze, binary_distinguishing, boolean_algebra,
-                   boolean_dimension_exact, convex_dimension,
+                   boolean_dimension_exact, convex_dimension, critical_pairs,
                    distinguishing_to_realizer, dm_dimension,
                    fractional_dimension, linear_geometry, pkn,
                    pkn_fractional_certificate, poset_from_relation, qn_pn,
@@ -26,7 +28,8 @@ from ordim.order import extend_reversing
 from ordim.serialize import report_to_json
 from ordim.simplex import solve_covering
 
-from oracles import incomparable_pairs, is_reversible, linear_extensions
+from oracles import (dm_dimension_unpruned, incomparable_pairs, is_reversible,
+                     linear_extensions)
 from posets import antichain, chain, random_poset, std_example
 
 
@@ -68,7 +71,6 @@ def test_dim_realizer_always_verifies():
 def test_dim_minimality_against_bruteforce():
     # brute force: try all covers of critical pairs by k reversible sets
     from itertools import product
-    from ordim import critical_pairs
     rng = random.Random(37)
     for _ in range(12):
         P = random_poset(rng, 6)
@@ -89,6 +91,71 @@ def test_dim_minimality_against_bruteforce():
                 found = True
                 break
         assert not found, "solver overshot the dimension"
+
+
+@st.composite
+def small_posets(draw):
+    """A poset on at most 7 elements. Half the draws relate each i < j or
+    not; so that dimension 3 comes up, the other half take the standard
+    example S_3, maybe a seventh element above some of its elements, and a
+    random relabelling."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 7))
+        edges = [e for e in combinations(range(n), 2) if draw(st.booleans())]
+        return poset_from_relation(n, edges)
+    n = draw(st.integers(6, 7))
+    edges = [(i, 3 + j) for i in range(3) for j in range(3) if i != j]
+    edges += [(x, 6) for x in range(6) if n == 7 and draw(st.booleans())]
+    perm = draw(st.permutations(range(n)))
+    return poset_from_relation(n, [(perm[x], perm[y]) for x, y in edges])
+
+
+def dim_by_extensions(P):
+    """Brute force: the fewest linear extensions reversing every critical
+    pair. k of them do iff, for some k - 1 reversal patterns, the pairs
+    they leave unreversed form a reversible set."""
+    crit = critical_pairs(P)
+    if not crit:
+        return 1
+    patterns = set()
+    for ext in linear_extensions(P):
+        pos = {x: i for i, x in enumerate(ext)}
+        patterns.add(sum(1 << i for i, (a, b) in enumerate(crit) if pos[a] > pos[b]))
+
+    def coverable(k, left):
+        if k == 1:
+            return is_reversible(P, [crit[i] for i in range(len(crit))
+                                     if (left >> i) & 1])[0]
+        return any(coverable(k - 1, left & ~pat) for pat in patterns)
+
+    k = 2
+    while not coverable(k, (1 << len(crit)) - 1):
+        k += 1
+    return k
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_posets())
+def test_dim_matches_bruteforce_and_unpruned_search(P):
+    res = dm_dimension(P)
+    assert res.dim == dim_by_extensions(P)
+    assert verify_realizer(P, res.realizer)
+    # the mutual-arc pruning cuts only subtrees without a cover, so the
+    # first cover, and the realizer built from it, stay the same
+    dim, realizer, nodes = dm_dimension_unpruned(P)
+    assert (res.dim, res.realizer) == (dim, realizer)
+    assert res.nodes <= nodes
+
+
+@pytest.mark.parametrize("n, most", [(12, 10_000), (13, 25_000)])
+def test_dim_pkn_search_nodes(n, most):
+    # forward checking on the mutual-arc rows: pkn(1,12) took 484,656 nodes
+    # without it, and pkn(1,13) more than 2 M
+    P = pkn(1, n).poset
+    res = dm_dimension(P)
+    assert res.dim == 4
+    assert res.nodes <= most
+    assert verify_realizer(P, res.realizer)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +247,6 @@ def test_fdim_matches_bruteforce_small():
 
 def test_fdim_crit_rows_equal_full_inc_rows():
     # the LP over critical pairs has the same optimum as over all of Inc
-    from ordim import critical_pairs
     rng = random.Random(43)
     for _ in range(10):
         P = random_poset(rng, 7)
@@ -255,6 +321,15 @@ def test_fdim_warm_start_pivots(n, value, most):
     assert res.fdim == value
     assert res.pivots <= most
     assert verify_fractional_realizer(P, res.realizer) == (True, value)
+
+
+def test_fdim_pricing_nodes():
+    # a pair with a mutual arc into the pricing set is excluded unsearched
+    # and its weight leaves the bound: 922,400 nodes before that
+    P = pkn(1, 10).poset
+    res = fractional_dimension(P)
+    assert res.fdim == Fraction(92, 31)
+    assert res.nodes <= 80_000
 
 
 def test_fdim_seeds_skip_pairs_already_reversed(monkeypatch):

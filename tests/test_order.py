@@ -332,8 +332,8 @@ def test_heaviest_reversible_matches_dp_and_bruteforce(case):
     P, pairs, weights = case
     scale = math.lcm(*(w.denominator for w in weights))
     ints = [w.numerator * (scale // w.denominator) for w in weights]
-    M = pair_digraph(P, pairs)
-    value, members, nodes = _heaviest_reversible(M, ints)
+    M, mutual, _ = pair_relations(P, pairs)
+    value, members, nodes = _heaviest_reversible(M, mutual, ints)
     best = Fraction(value, scale)
     dp, _ = max_weight_reversal(P, pairs, weights, downset_lattice(P))
     brute = max(reversed_weight(pairs, weights, ext) for ext in linear_extensions(P))
@@ -345,7 +345,7 @@ def test_heaviest_reversible_matches_dp_and_bruteforce(case):
     assert reversed_weight(pairs, weights, ext) >= best
     # a search cut short bounds the optimum from above
     for limit in ({0, nodes // 2, nodes - 1} if nodes else ()):
-        bound, cut, used = _heaviest_reversible(M, ints, limit)
+        bound, cut, used = _heaviest_reversible(M, mutual, ints, limit)
         assert cut is None and used == limit and bound >= value
 
 

@@ -23,9 +23,10 @@ def test_family_roundtrip():
 
 
 def test_poset_roundtrip():
-    P = poset_from_relation(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    P = poset_from_relation(4, [(0, 1), (0, 2), (1, 3), (2, 3)],
+                            labels=["a", "b", "c", "d"])
     back = serialize.poset_from_json(serialize.poset_to_json(P))
-    assert back.up == P.up
+    assert back.up == P.up and back.labels == P.labels == ("a", "b", "c", "d")
 
 
 def test_certificate_roundtrips():
