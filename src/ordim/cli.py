@@ -17,7 +17,7 @@ from .certificates import (BooleanRealizer, FractionalRealizer, LocalRealizer,
                            Realizer, verify_boolean_realizer,
                            verify_fractional_realizer, verify_local_realizer,
                            verify_realizer)
-from .constructions import (boolean_algebra, enumerate_geometries,
+from .constructions import (boolean_algebra, enumerate_geometries, is_pkn,
                             linear_geometry, pkn, qn_pn, random_geometry)
 from .dimensions import DistinguishingSequence, analyze, verify_distinguishing
 from .errors import (AxiomViolation, BudgetExceeded, MalformedCertificate,
@@ -117,7 +117,7 @@ def _cmd_verify(args) -> int:
         ok, total = verify_fractional_realizer(P, cert)
         detail = f"total weight {total}"
     else:  # distinguishing
-        if G is None or G.masks != pkn(cert.k, cert.n).masks:
+        if G is None or not is_pkn(G.family, cert.k, cert.n):
             print(f"reject: input family is not pkn({cert.k},{cert.n})")
             return EXIT_REJECT
         ok, witness = verify_distinguishing(cert.k, cert.n, cert)

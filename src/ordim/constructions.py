@@ -3,6 +3,7 @@ generators used by the theorem suite."""
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -44,6 +45,21 @@ def _check_kn(k: int, n: int) -> None:
         raise ParamRange(f"need 1 <= k <= n-2, got k={k}, n={n}")
 
 
+def pkn_size(k: int, n: int) -> int:
+    """|pkn(k, n)|: the C(n, s) sets of each size s <= k, plus C(n, k+1)
+    larger ones, one per prefix {1..i-1} and k-subset of {i..n}."""
+    return sum(math.comb(n, s) for s in range(k + 2))
+
+
+def is_pkn(fam: SetFamily, k: int, n: int) -> bool:
+    """True iff fam is pkn(k, n), decided by the rules without building it:
+    fam is a set of distinct subsets of {1..n}, so it is pkn(k, n) iff it
+    has pkn's size and every member passes the membership rule."""
+    _check_kn(k, n)
+    return (fam.ground_n == n and len(fam) == pkn_size(k, n)
+            and all(pkn_member(m, k) for m in fam.masks))
+
+
 def pkn(k: int, n: int) -> ConvexGeometry:
     """The prefix-forcing family on {1..n}: small sets are free, larger sets
     must contain an initial segment growing with their size.
@@ -65,25 +81,24 @@ def pkn(k: int, n: int) -> ConvexGeometry:
     return validate_convex_geometry(SetFamily.from_masks(n, masks))
 
 
-def jkn(k: int, n: int) -> SetFamily:
-    """The meet-irreducible members of pkn(k, n), built directly.
-
-    Sets have the shape {1..i-1} union B with every element of B above i,
-    |B| <= k, and B forced to be the full tail {i+1..n} when |B| < k.
-    """
+def jkn_members(k: int, n: int) -> list:
+    """The meet-irreducible members of pkn(k, n) as (i, B) pairs, in
+    canonical member order: the member is {1..i-1} union B, where B is the
+    bitmask of a k-subset of {i+1..n}, or of all of {i+1..n} when fewer
+    than k elements remain."""
     _check_kn(k, n)
-    masks = set()
+    members = {}
     for i in range(1, n + 1):
-        prefix = (1 << (i - 1)) - 1
-        tail = [j for j in range(i + 1, n + 1)]
-        for b_size in range(k + 1):
-            if b_size < k:
-                if len(tail) == b_size:
-                    masks.add(prefix | sum(1 << (j - 1) for j in tail))
-            else:
-                for bs in combinations(tail, b_size):
-                    masks.add(prefix | sum(1 << (j - 1) for j in bs))
-    return SetFamily.from_masks(n, masks)
+        for c in combinations(range(i, n), min(k, n - i)):
+            b = sum(1 << e for e in c)
+            members[(1 << (i - 1)) - 1 | b] = (i, b)
+    return [members[m] for m in _canonical(members)]
+
+
+def jkn(k: int, n: int) -> SetFamily:
+    """The meet-irreducible members of pkn(k, n): the jkn_members table."""
+    return SetFamily.from_masks(n, [(1 << (i - 1)) - 1 | b
+                                    for i, b in jkn_members(k, n)])
 
 
 def _staircase_mask(n: int, i: int, j: int, k: int) -> int:

@@ -25,7 +25,7 @@ from .certificates import (BooleanRealizer, FractionalRealizer, Realizer,
                            query_string, realizer_from_reversible_classes,
                            verify_boolean_realizer, verify_fractional_realizer,
                            verify_realizer, _before_rows)
-from .constructions import jkn, pkn, _check_kn
+from .constructions import jkn_members, pkn, _check_kn
 from .errors import (BudgetExceeded, InvalidRealizer, MalformedCertificate,
                      MaxTriesExceeded, NotDistinguishing, ParamRange)
 from .geometry import (ConvexGeometry, ConvexRealizer, mask_to_set,
@@ -294,59 +294,6 @@ def _weighted(witnesses: Sequence, f: Sequence) -> FractionalRealizer:
 
 
 # ---------------------------------------------------------------------------
-# explicit fractional certificate for the prefix-forcing families
-
-def _jkn_decomposed(k: int, n: int):
-    """Meet-irreducible masks of pkn(k,n) split as (i, B, mask)."""
-    out = []
-    for mask in jkn(k, n).masks:
-        i = 1
-        while (mask >> (i - 1)) & 1:
-            i += 1
-        prefix = (1 << (i - 1)) - 1
-        b_mask = mask & ~prefix
-        out.append((i, tuple(e + 1 for e in _bits(b_mask)), mask))
-    return out
-
-
-def pkn_fractional_certificate(k: int, n: int,
-                               G: Optional[ConvexGeometry] = None) -> FractionalRealizer:
-    """Fractional realizer of pkn(k,n) with total weight 2^(k+1)(2^n-1)/2^n.
-
-    One extension per nonempty subset Z of the ground set: it drops every
-    meet-irreducible whose tail avoids Z directly below its own singleton,
-    front-loading the corresponding critical pairs. Each extension carries
-    weight 2^(k+1)/2^n, and every critical pair is reversed by at least
-    2^(n-k-1) of them, which is exactly enough.
-    """
-    _check_kn(k, n)
-    if n > 14:
-        raise ParamRange("certificate enumerates 2^n extensions; need n <= 14")
-    if G is None:
-        G = pkn(k, n)
-    P = G.poset
-    members = _jkn_decomposed(k, n)
-    weight = Fraction(2 ** (k + 1), 2 ** n)
-    weighted = []
-    for z_mask in range(1, 1 << n):
-        anchors = []
-        for i in range(1, n + 1):
-            if not (z_mask >> (i - 1)) & 1:
-                continue
-            for (mi, mb, mmask) in members:
-                if mi == i and all(not (z_mask >> (j - 1)) & 1 for j in mb):
-                    anchors.append(G.member_index(mmask))
-            anchors.append(G.member_index(1 << (i - 1)))
-        # a pair (a, b) puts b before a, so the anchors come in list order
-        ext = extend_reversing(P, [(anchors[u + 1], anchors[u])
-                                   for u in range(len(anchors) - 1)])
-        if ext is None:
-            raise AssertionError("anchor chain conflicts with the order")
-        weighted.append((ext, weight))
-    return FractionalRealizer(tuple(weighted))
-
-
-# ---------------------------------------------------------------------------
 # distinguishing sequences for pkn
 
 @dataclass(frozen=True)
@@ -382,12 +329,12 @@ def verify_distinguishing(k: int, n: int, seq: DistinguishingSequence):
             raise MalformedCertificate(
                 f"malformed distinguishing sequence: Y_{i} = {y:#b} has a "
                 f"mark outside 1..{seq.t}")
-    for (i, b_elems, mmask) in _jkn_decomposed(k, n):
+    for i, b in jkn_members(k, n):
         union = 0
-        for j in b_elems:
-            union |= seq.sets[j - 1]
+        for j in _bits(b):
+            union |= seq.sets[j]
         if not seq.sets[i - 1] & ~union:
-            return False, mask_to_set(mmask)
+            return False, mask_to_set((1 << (i - 1)) - 1 | b)
     return True, None
 
 
@@ -406,17 +353,16 @@ def distinguishing_to_realizer(k: int, n: int, seq: DistinguishingSequence,
         G = pkn(k, n)
     P = G.poset
     # carriers[alpha] has bit j-1 set iff Y_j carries alpha, so a member's
-    # test "alpha in Y_i, in no Y_j with j in B" is one AND per mask; the
-    # mask of B is the member's mask without its prefix 1..i-1
+    # test "alpha in Y_i, in no Y_j with j in B" is one AND per mask
     carriers = [0] * seq.t
     for j, y in enumerate(seq.sets):
         for alpha in _bits(y):
             carriers[alpha] |= 1 << j
-    members = [(1 << (i - 1), mmask & ~((1 << (i - 1)) - 1),
-                (G.member_index(1 << (i - 1)), G.member_index(mmask)))
-               for (i, _b, mmask) in _jkn_decomposed(k, n)]
-    classes = [[pair for (i_bit, b_mask, pair) in members
-                if c & i_bit and not c & b_mask]
+    members = [(1 << (i - 1), b, (G.member_index(1 << (i - 1)),
+                                  G.member_index((1 << (i - 1)) - 1 | b)))
+               for i, b in jkn_members(k, n)]
+    classes = [[pair for (i_bit, b, pair) in members
+                if c & i_bit and not c & b]
                for c in carriers]
     return realizer_from_reversible_classes(P, classes)
 
@@ -429,13 +375,13 @@ def realizer_to_distinguishing(k: int, n: int, R: Realizer,
     P = G.poset
     if not verify_realizer(P, R):
         raise InvalidRealizer("realizer does not verify against pkn")
-    members = _jkn_decomposed(k, n)
+    # each member's critical pair: its index i, the singleton {i}, the member
+    pairs = [(i, G.member_index(1 << (i - 1)), G.member_index((1 << (i - 1)) - 1 | b))
+             for i, b in jkn_members(k, n)]
     sets = [0] * n
     for alpha, ext in enumerate(R.extensions):
         rows = _before_rows(P, ext)
-        for (i, _b, mmask) in members:
-            a_idx = G.member_index(1 << (i - 1))
-            b_idx = G.member_index(mmask)
+        for i, a_idx, b_idx in pairs:
             if (rows[b_idx] >> a_idx) & 1:      # singleton after member: reversed
                 sets[i - 1] |= 1 << alpha
     seq = DistinguishingSequence(k, n, len(R.extensions), tuple(sets))
@@ -463,20 +409,49 @@ def binary_distinguishing(n: int) -> DistinguishingSequence:
     return seq
 
 
-def randomized_distinguishing(k: int, n: int, seed: int,
-                              max_tries: int = 100):
+MAX_TRIES = 100
+
+
+def randomized_distinguishing(k: int, n: int, seed: int):
     """Sample uniform subsets of the probabilistic-bound size until one
-    verifies. Returns (sequence, tries used)."""
+    verifies, at most MAX_TRIES times. Returns (sequence, tries used)."""
     _check_kn(k, n)
     t = int(math.floor((k + 1) * 2 ** (k + 2) * math.log(n)))
     rng = random.Random(seed)
-    for attempt in range(1, max_tries + 1):
+    for attempt in range(1, MAX_TRIES + 1):
         sets = tuple(rng.getrandbits(t) for _ in range(n))
         seq = DistinguishingSequence(k, n, t, sets)
         ok, _ = verify_distinguishing(k, n, seq)
         if ok:
             return seq, attempt
-    raise MaxTriesExceeded(f"no distinguishing sequence in {max_tries} tries")
+    raise MaxTriesExceeded(f"no distinguishing sequence in {MAX_TRIES} tries")
+
+
+# ---------------------------------------------------------------------------
+# explicit fractional certificate for the prefix-forcing families
+
+def pkn_fractional_certificate(k: int, n: int,
+                               G: Optional[ConvexGeometry] = None) -> FractionalRealizer:
+    """Fractional realizer of pkn(k,n) with total weight 2^(k+1)(2^n-1)/2^n.
+
+    The realizer distinguishing_to_realizer builds from the all-subsets
+    sequence, with one mark per nonempty subset Z of the ground set and
+    Y_i carrying Z iff i is in Z: the extension for Z reverses the critical
+    pair of every meet-irreducible {1..i-1} union B with i in Z and B
+    disjoint from Z. Each extension carries weight 2^(k+1)/2^n, and every
+    critical pair is reversed by at least 2^(n-k-1) of them, which is
+    exactly enough.
+    """
+    _check_kn(k, n)
+    if n > 14:
+        raise ParamRange("certificate enumerates 2^n extensions; need n <= 14")
+    # mark z stands for the subset Z with bitmask z
+    sets = tuple(sum(1 << (z - 1) for z in range(1, 1 << n) if (z >> i) & 1)
+                 for i in range(n))
+    R = distinguishing_to_realizer(
+        k, n, DistinguishingSequence(k, n, (1 << n) - 1, sets), G)
+    weight = Fraction(2 ** (k + 1), 2 ** n)
+    return FractionalRealizer(tuple((ext, weight) for ext in R.extensions))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .constructions import (boolean_algebra, enumerate_geometries, jkn,
-                            linear_geometry, pkn, qn_pn, random_geometry)
+                            linear_geometry, pkn, pkn_member, qn_pn,
+                            random_geometry)
 from .dimensions import DimensionReport, analyze
 from .errors import ParamRange
 from .geometry import (ConvexGeometry, check_boolean_property,
@@ -93,8 +94,7 @@ def _pkn_rows(add, inst: Instance, rep: DimensionReport, vc: int,
         add("Prop8.x:jkn", j_masks == mi_masks,
             f"|J|={len(j_masks)} |meet-irr|={len(mi_masks)}")
         if k + 1 <= n - 2:
-            sup = set(pkn(k + 1, n).masks)
-            add("Prop8.x:monotone", all(m in sup for m in G.masks),
+            add("Prop8.x:monotone", all(pkn_member(m, k + 1) for m in G.masks),
                 f"members of ({k},{n}) inside ({k + 1},{n})")
         add("Prop8.x:dd", all(dd == min(m.bit_count(), k + 1)
                               for m, dd in zip(G.masks, G.poset.cover_indeg)),

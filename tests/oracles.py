@@ -5,9 +5,13 @@ the tests rather than in `ordim`. Three of them recurse as deep as the
 instance is large, which a library routine may not.
 """
 
+from fractions import Fraction
+from itertools import combinations, permutations
+
 from ordim import ParamRange, Realizer
 from ordim.certificates import realizer_from_reversible_classes
 from ordim.order import _adds_cycle, _bits, _clique, extend_reversing, pair_digraph
+from ordim.simplex import solve_covering
 
 
 class CountExceeded(Exception):
@@ -51,6 +55,38 @@ def linear_extensions(P, limit=None):
                 ext.pop()
 
     yield from rec(0)
+
+
+def fdim_bruteforce(P):
+    """Oracle: enumerate ALL extensions as columns, ALL incomparable pairs as
+    rows, one exact LP."""
+    inc = incomparable_pairs(P)
+    if not inc:
+        return Fraction(1)
+    row_index = {pair: i for i, pair in enumerate(inc)}
+    columns = []
+    for ext in linear_extensions(P, limit=100_000):
+        pos = {x: i for i, x in enumerate(ext)}
+        pat = 0
+        for (a, b), i in row_index.items():
+            if pos[a] > pos[b]:
+                pat |= 1 << i
+        columns.append(pat)
+    opt, _, _ = solve_covering(sorted(set(columns)), len(inc))
+    return opt
+
+
+def se_bruteforce(P):
+    """Oracle: the largest t >= 2 such that some t incomparable pairs
+    (a_i, b_i) have a_i < b_j whenever i != j, else 1. Every set of t
+    incomparable pairs is tried, for t = 2, 3, ... until none works: a
+    standard example of size t contains one of size t - 1."""
+    inc = incomparable_pairs(P)
+    t = 2
+    while any(all(P.lt(a, b) for (a, _), (_, b) in permutations(pick, 2))
+              for pick in combinations(inc, t)):
+        t += 1
+    return max(t - 1, 1)
 
 
 def is_reversible(P, pairs):

@@ -201,8 +201,7 @@ def test_criterion_9_randomized_builder():
         G = pkn(k, n)
         for seed in range(20):
             try:
-                seq, tries = randomized_distinguishing(k, n, seed=seed,
-                                                       max_tries=100)
+                seq, tries = randomized_distinguishing(k, n, seed=seed)
             except Exception as exc:
                 bad.append((k, n, seed, repr(exc)))
                 continue

@@ -217,6 +217,19 @@ def test_verify_distinguishing(tmp_path):
     assert run(["verify", str(fam2), str(cert), "--kind", "distinguishing"]) == 5
 
 
+def test_verify_distinguishing_decides_pkn_without_building_it(tmp_path, capsys):
+    # pkn(8,24) has 2,579,130 members; the rules reject a 3-element family
+    # at once instead of building them to compare
+    fam = tmp_path / "b3.json"
+    run(["gen", "boolean", "--n", "3", "--out", str(fam)])
+    cert = tmp_path / "big.json"
+    cert.write_text(json.dumps({"schema": DIST["schema"], "k": 8, "n": 24,
+                                "t": 1, "sets": [[]] * 24}))
+    capsys.readouterr()
+    assert run(["verify", str(fam), str(cert), "--kind", "distinguishing"]) == 5
+    assert capsys.readouterr().out == "reject: input family is not pkn(8,24)\n"
+
+
 def test_theorems_table(tmp_path, capsys):
     code = run(["theorems", "--population", "named:linear=3;boolean=2",
                 "--checks", "Thm3.1,Thm3.4,Prop3.8"])

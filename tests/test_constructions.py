@@ -2,11 +2,12 @@
 
 import pytest
 
-from ordim import (ParamRange, Realizer, boolean_algebra, enumerate_geometries,
-                   linear_geometry, max_down_degree, pkn, qn_pn,
-                   random_geometry, set_to_mask, standard_example_number,
+from ordim import (ParamRange, Realizer, SetFamily, boolean_algebra,
+                   enumerate_geometries, linear_geometry, max_down_degree, pkn,
+                   qn_pn, random_geometry, set_to_mask, standard_example_number,
                    validate_convex_geometry, verify_realizer, width)
-from ordim.constructions import jkn, pkn_member, qn_grid_realizer
+from ordim.constructions import (is_pkn, jkn, jkn_members, pkn_member,
+                                 pkn_size, qn_grid_realizer)
 from ordim.geometry import mask_to_set
 
 
@@ -71,6 +72,39 @@ def test_jkn_member_sizes_and_k_sets():
         assert all(not m & 1 for m in k_sets)
         from math import comb
         assert len(k_sets) == comb(n - 1, k)
+
+
+def test_jkn_members_table():
+    for (k, n) in [(1, 3), (1, 5), (2, 6), (3, 7), (4, 9)]:
+        members = jkn_members(k, n)
+        for i, b in members:
+            assert not (b >> (i - 1)) & 1               # i not in B
+            assert not b & ((1 << i) - 1)               # B above i
+            assert b.bit_count() == min(k, n - i)
+        # the table lists jkn's members, in jkn's order
+        assert [(1 << (i - 1)) - 1 | b for i, b in members] == list(jkn(k, n).masks)
+
+
+def test_pkn_size_and_is_pkn_match_the_builder():
+    for k in range(1, 5):
+        for n in range(k + 2, 12):
+            G = pkn(k, n)
+            assert len(G.family) == pkn_size(k, n)
+            assert is_pkn(G.family, k, n)
+            assert not is_pkn(G.family, k, n + 1)
+            if k > 1:
+                assert not is_pkn(G.family, k - 1, n)
+            if k + 1 <= n - 2:
+                assert not is_pkn(G.family, k + 1, n)
+
+
+def test_is_pkn_checks_every_member():
+    G = pkn(2, 6)
+    # trade a member the rule allows for one it forbids: same ground, same size
+    masks = set(G.masks) - {set_to_mask([1, 2, 3])} | {set_to_mask([2, 3, 4])}
+    assert not is_pkn(SetFamily.from_masks(6, masks), 2, 6)
+    with pytest.raises(ParamRange):
+        is_pkn(G.family, 5, 6)
 
 
 def test_qn_pn_basic_shape():

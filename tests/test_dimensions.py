@@ -14,7 +14,7 @@ from ordim import (BudgetExceeded, InvalidRealizer, MalformedCertificate,
                    analyze, binary_distinguishing, boolean_algebra,
                    boolean_dimension_exact, convex_dimension, critical_pairs,
                    distinguishing_to_realizer, dm_dimension,
-                   fractional_dimension, linear_geometry, pkn,
+                   find_standard_example, fractional_dimension, linear_geometry, pkn,
                    pkn_fractional_certificate, poset_from_relation, qn_pn,
                    randomized_distinguishing,
                    realizer_to_distinguishing, set_to_mask,
@@ -26,10 +26,9 @@ from ordim.constructions import jkn
 from ordim.dimensions import DimensionReport, DistinguishingSequence
 from ordim.order import extend_reversing
 from ordim.serialize import report_to_json
-from ordim.simplex import solve_covering
 
-from oracles import (dm_dimension_unpruned, incomparable_pairs, is_reversible,
-                     linear_extensions)
+from oracles import (dm_dimension_unpruned, fdim_bruteforce, is_reversible,
+                     linear_extensions, se_bruteforce)
 from posets import antichain, chain, random_poset, std_example
 
 
@@ -94,13 +93,13 @@ def test_dim_minimality_against_bruteforce():
 
 
 @st.composite
-def small_posets(draw):
+def small_posets(draw, most=7):
     """A poset on at most 7 elements. Half the draws relate each i < j or
-    not; so that dimension 3 comes up, the other half take the standard
-    example S_3, maybe a seventh element above some of its elements, and a
-    random relabelling."""
+    not, on at most `most` elements; so that dimension 3 comes up, the other
+    half take the standard example S_3, maybe a seventh element above some
+    of its elements, and a random relabelling."""
     if draw(st.booleans()):
-        n = draw(st.integers(1, 7))
+        n = draw(st.integers(1, most))
         edges = [e for e in combinations(range(n), 2) if draw(st.booleans())]
         return poset_from_relation(n, edges)
     n = draw(st.integers(6, 7))
@@ -203,25 +202,6 @@ def test_cdim_long_augmenting_paths_do_not_recurse():
 # ---------------------------------------------------------------------------
 # fractional dimension
 
-def fdim_bruteforce(P):
-    """Oracle: enumerate ALL extensions as columns, ALL incomparable pairs as
-    rows, one exact LP."""
-    inc = incomparable_pairs(P)
-    if not inc:
-        return Fraction(1)
-    row_index = {pair: i for i, pair in enumerate(inc)}
-    columns = []
-    for ext in linear_extensions(P, limit=100_000):
-        pos = {x: i for i, x in enumerate(ext)}
-        pat = 0
-        for (a, b), i in row_index.items():
-            if pos[a] > pos[b]:
-                pat |= 1 << i
-        columns.append(pat)
-    opt, _, _ = solve_covering(sorted(set(columns)), len(inc))
-    return opt
-
-
 def test_fdim_standard_examples():
     for t in (2, 3):
         res = fractional_dimension(std_example(t))
@@ -243,6 +223,17 @@ def test_fdim_matches_bruteforce_small():
         assert res.fdim == fdim_bruteforce(P)
         ok, total = verify_fractional_realizer(P, res.realizer)
         assert ok and total == res.fdim
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_posets(most=6))
+def test_fdim_matches_bruteforce_property(P):
+    res = fractional_dimension(P)
+    assert res.fdim == fdim_bruteforce(P)
+    assert verify_fractional_realizer(P, res.realizer) == (True, res.fdim)
+    # the duals certify the optimum: LP duality with equal objectives. A
+    # chain has no critical pairs, so no rows and no duals, and fdim 1.
+    assert sum(res.duals) == (res.fdim if res.rows else 0)
 
 
 def test_fdim_crit_rows_equal_full_inc_rows():
@@ -369,6 +360,24 @@ def test_fdim_budget_gives_sound_interval():
 
 
 # ---------------------------------------------------------------------------
+# standard example number
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_posets())
+def test_standard_example_matches_bruteforce_property(P):
+    se = standard_example_number(P)
+    assert se == se_bruteforce(P)
+    if se >= 2:
+        mins, maxs = find_standard_example(P, se)
+        for i in range(se):
+            assert P.incomparable(mins[i], maxs[i])
+            for j in range(se):
+                if i != j:
+                    assert P.lt(mins[i], maxs[j])
+    assert find_standard_example(P, se + 1) is None
+
+
+# ---------------------------------------------------------------------------
 # the explicit fractional certificate for pkn
 
 def test_pkn_certificate_values():
@@ -381,11 +390,15 @@ def test_pkn_certificate_values():
         assert total < 2 ** (k + 1)
 
 
-def test_pkn_certificate_pair_coverage_floor():
-    # each critical pair is reversed by at least 2^(n-k-1) extensions
-    k, n = 1, 4
+@pytest.mark.parametrize("k, n", [(1, 4), (2, 5), (2, 6), (3, 6)])
+def test_pkn_certificate_pair_coverage_floor(k, n):
+    # one extension per nonempty subset of the ground set, each critical
+    # pair reversed by at least 2^(n-k-1) of them
     G = pkn(k, n)
     cert = pkn_fractional_certificate(k, n, G=G)
+    assert verify_fractional_realizer(G.poset, cert) == (
+        True, Fraction(2 ** (k + 1) * (2 ** n - 1), 2 ** n))
+    assert len(cert.weighted) == 2 ** n - 1
     from ordim import geometry_critical_pairs
     for a, b in geometry_critical_pairs(G):
         count = 0
@@ -494,6 +507,19 @@ def test_distinguishing_to_realizer_matches_class_rule():
     assert not verify_distinguishing(k, n, bad)[0]
     with pytest.raises(NotDistinguishing):
         distinguishing_to_realizer(k, n, bad, G=pkn(k, n))
+
+
+def test_randomized_distinguishing_gives_up_after_max_tries(monkeypatch):
+    calls = []
+
+    def never(k, n, seq):
+        calls.append(seq)
+        return False, ()
+
+    monkeypatch.setattr(dimensions, "verify_distinguishing", never)
+    with pytest.raises(MaxTriesExceeded):
+        randomized_distinguishing(1, 5, seed=0)
+    assert len(calls) == dimensions.MAX_TRIES == 100
 
 
 def test_realizer_to_distinguishing_rejects_bad_realizer():
