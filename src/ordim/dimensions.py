@@ -18,14 +18,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import reduce
+from itertools import combinations, permutations
+from operator import or_
 from typing import Optional, Sequence
 
 from .certificates import (BooleanRealizer, FractionalRealizer, Realizer,
                            query_string, realizer_from_reversible_classes,
                            verify_boolean_realizer, verify_fractional_realizer,
                            verify_realizer, _before_rows)
-from .constructions import jkn_members, pkn, _check_kn
+from .constructions import is_pkn, jkn_members, pkn, _check_kn
 from .errors import (BudgetExceeded, InvalidRealizer, MalformedCertificate,
                      MaxTriesExceeded, NotDistinguishing, ParamRange)
 from .geometry import (ConvexGeometry, ConvexRealizer, mask_to_set,
@@ -338,19 +340,27 @@ def verify_distinguishing(k: int, n: int, seq: DistinguishingSequence):
     return True, None
 
 
+def _pkn_geometry(k: int, n: int, G: Optional[ConvexGeometry]) -> ConvexGeometry:
+    """G, or pkn(k,n) if G is None; ParamRange unless G is pkn(k,n) in pkn's
+    own labelling, on which distinguishing sequences are defined."""
+    if G is not None and not is_pkn(G.family, k, n):
+        raise ParamRange(f"the given geometry is not pkn({k},{n})")
+    return pkn(k, n) if G is None else G
+
+
 def distinguishing_to_realizer(k: int, n: int, seq: DistinguishingSequence,
                                G: Optional[ConvexGeometry] = None) -> Realizer:
     """Turn a verified distinguishing sequence into a same-size realizer.
 
     Mark alpha collects the critical pairs of members whose index carries
     alpha while their tail avoids it; each such class is reversible, and the
-    classes jointly cover all critical pairs.
+    classes jointly cover all critical pairs. A G other than pkn(k,n)
+    raises ParamRange.
     """
     ok, witness = verify_distinguishing(k, n, seq)
     if not ok:
         raise NotDistinguishing(f"sequence fails on member {witness}")
-    if G is None:
-        G = pkn(k, n)
+    G = _pkn_geometry(k, n, G)
     P = G.poset
     # carriers[alpha] has bit j-1 set iff Y_j carries alpha, so a member's
     # test "alpha in Y_i, in no Y_j with j in B" is one AND per mask
@@ -369,9 +379,9 @@ def distinguishing_to_realizer(k: int, n: int, seq: DistinguishingSequence,
 
 def realizer_to_distinguishing(k: int, n: int, R: Realizer,
                                G: Optional[ConvexGeometry] = None) -> DistinguishingSequence:
-    """Read a distinguishing sequence off a verified realizer of pkn(k,n)."""
-    if G is None:
-        G = pkn(k, n)
+    """Read a distinguishing sequence off a verified realizer of pkn(k,n)
+    (a G other than pkn(k,n) raises ParamRange)."""
+    G = _pkn_geometry(k, n, G)
     P = G.poset
     if not verify_realizer(P, R):
         raise InvalidRealizer("realizer does not verify against pkn")
@@ -457,15 +467,17 @@ def pkn_fractional_certificate(k: int, n: int,
 # ---------------------------------------------------------------------------
 # Boolean dimension, exhaustive at tiny scale
 
-def boolean_dimension_exact(P: Poset, max_t: int = 4,
-                            budget: Optional[int] = None):
+def boolean_dimension_exact(P: Poset):
     """Exact Boolean dimension for posets with at most 6 elements.
 
     A tuple of linear orders is feasible iff the query strings of ordered
     comparable pairs and of all other ordered pairs are disjoint (the
-    accepting set is then the comparable side). Orders are deduplicated by
-    their separation behavior; search is exhaustive per size with an early
-    exit on success. Returns (bdim, BooleanRealizer).
+    accepting set is then the comparable side). An order-dimension realizer
+    of size d is feasible with the accepting set {1^d}, so bdim <= dim, and
+    dim <= 3 on at most 6 elements (Hiraguchi). Orders are deduplicated by
+    their separation behavior, and each size t < dim is decided over every
+    t-set of distinct behaviors; the first feasible one found is returned,
+    else the dim realizer. Returns (bdim, BooleanRealizer) with bdim orders.
     """
     n = P.n
     if n > 6:
@@ -473,11 +485,9 @@ def boolean_dimension_exact(P: Poset, max_t: int = 4,
     comp = [(x, y) for x in range(n) for y in range(n) if P.lt(x, y)]
     other = [(x, y) for x in range(n) for y in range(n)
              if x != y and not P.lt(x, y)]
-    universe = len(comp) * len(other)
-    full = (1 << universe) - 1
-    orders = list(permutations(range(n)))
+    full = (1 << len(comp) * len(other)) - 1
     sep_to_order = {}
-    for od in orders:
+    for od in permutations(range(n)):
         pos = {x: i for i, x in enumerate(od)}
         bit_c = [pos[x] < pos[y] for x, y in comp]
         bit_o = [pos[x] < pos[y] for x, y in other]
@@ -488,51 +498,20 @@ def boolean_dimension_exact(P: Poset, max_t: int = 4,
                 if bc != bo:
                     sep |= 1 << u
                 u += 1
-        if sep not in sep_to_order:
-            sep_to_order[sep] = od
-    seps = sorted(sep_to_order, key=lambda s: (-s.bit_count(), s))
-    by_bit = [[i for i, s in enumerate(seps) if (s >> u) & 1]
-              for u in range(universe)]
-    nodes = 0
-
-    def cover(chosen, remaining, depth):
-        # branch on the uncovered cell with the fewest candidate orders
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceeded(f"Boolean search exceeded {budget} nodes")
-        if not remaining:
-            return chosen
-        if depth == 0:
-            return None
-        pick_cands = None
-        m = remaining
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            cands = [i for i in by_bit[u] if i not in chosen]
-            if pick_cands is None or len(cands) < len(pick_cands):
-                pick_cands = cands
-                if not cands:
-                    return None
-        for i in pick_cands:
-            res = cover(chosen + [i], remaining & ~seps[i], depth - 1)
-            if res is not None:
-                return res
-        return None
-
-    for t in range(1, max_t + 1):
-        res = cover([], full, t)
-        if res is not None:
-            chosen_orders = tuple(sep_to_order[seps[i]] for i in res)
-            pos_list = [{x: i for i, x in enumerate(od)} for od in chosen_orders]
-            tau = frozenset(query_string(pos_list, x, y) for x, y in comp)
-            cert = BooleanRealizer(chosen_orders, tau)
-            if not verify_boolean_realizer(P, cert):
-                raise AssertionError("Boolean search produced a bad certificate")
-            return t, cert
-    raise BudgetExceeded(f"no Boolean realizer of size <= {max_t}",
-                         lower=max_t + 1)
+        sep_to_order.setdefault(sep, od)
+    orders = dm_dimension(P).realizer.extensions
+    covers = (pick for t in range(1, len(orders))
+              for pick in combinations(sep_to_order, t)
+              if reduce(or_, pick) == full)
+    pick = next(covers, None)
+    if pick is not None:
+        orders = tuple(sep_to_order[sep] for sep in pick)
+    pos_list = [{x: i for i, x in enumerate(od)} for od in orders]
+    tau = frozenset(query_string(pos_list, x, y) for x, y in comp)
+    cert = BooleanRealizer(orders, tau)
+    if not verify_boolean_realizer(P, cert):
+        raise AssertionError("Boolean search produced a bad certificate")
+    return len(orders), cert
 
 
 # ---------------------------------------------------------------------------

@@ -57,12 +57,23 @@ def _indices(seq) -> tuple:
     return out
 
 
-def _count(value, field: str) -> int:
-    """A count or size as a JSON integer >= 0. int() would read true as 1
-    and 2.9 as 2, and a negative t would make a shift count negative."""
-    if type(value) is not int or value < 0:
+# Bounds on the sizes a document may ask for, so that a few bytes cannot
+# ask for gigabytes. A poset's up and down rows take n^2 bits and a family's
+# masks `ground` bits each; 2^14 elements is far beyond any instance an
+# exact solver here finishes. A distinguishing sequence's masks take up to
+# (number of sets) * t bits, and one mark near t makes a t-bit mask: ordim's
+# own sequences reach 229,362 bits (pkn_fractional_certificate at n = 14,
+# t = 2^14 - 1) and randomized_distinguishing 1,760 on pkn(1,32).
+MAX_ELEMENTS = 1 << 14
+MAX_MARK_BITS = 1 << 24
+
+
+def _count(value, field: str, most: int = MAX_ELEMENTS) -> int:
+    """A count or size as a JSON integer in 0..most. int() would read true
+    as 1 and 2.9 as 2, and a negative t would make a shift count negative."""
+    if type(value) is not int or not 0 <= value <= most:
         raise MalformedCertificate(
-            f"malformed {field} {value!r}: not an integer >= 0")
+            f"malformed {field} {value!r}: not an integer in 0..{most}")
     return value
 
 
@@ -78,9 +89,14 @@ def _labels(labels, n: int):
 
 def _weight(text) -> Fraction:
     """A weight written as a string ("7/10"); a JSON number 0.7 would be
-    read as its binary double, not 7/10, so it is refused."""
+    read as its binary double, not 7/10, so it is refused. So is an exponent:
+    Fraction expands "1e10000000" into a 33-million-bit integer (about 10 s
+    on a 2-vCPU Xeon VM, Python 3.11), and each further exponent digit
+    multiplies that."""
     if type(text) is not str:
         raise MalformedCertificate(f"malformed weight {text!r}: not a string")
+    if "e" in text.lower():
+        raise MalformedCertificate(f"malformed weight {text!r}: has an exponent")
     return Fraction(text)
 
 
@@ -223,10 +239,11 @@ def certificate_from_json(doc: dict):
                 (_indices(item["extension"]), _weight(item["weight"]))
                 for item in doc["weighted"]))
         if schema == SCHEMAS["distinguishing"]:
-            t = _count(doc["t"], "t")
+            sets = doc["sets"]
+            t = _count(doc["t"], "t", MAX_MARK_BITS // max(len(sets), 1))
             return DistinguishingSequence(
                 _count(doc["k"], "k"), _count(doc["n"], "n"), t,
-                tuple(_marks(marks, t) for marks in doc["sets"]))
+                tuple(_marks(marks, t) for marks in sets))
         raise MalformedCertificate(f"unknown certificate schema {schema!r}")
 
 

@@ -89,6 +89,26 @@ def se_bruteforce(P):
     return max(t - 1, 1)
 
 
+def bdim_bruteforce(P):
+    """Oracle: the least t such that some t linear orders give the
+    comparable pairs (x < y) query strings that no other ordered pair of
+    distinct elements has, trying every t-set of orders for t = 1, 2, ...
+    Repeating an order never helps, so t-sets of distinct orders suffice."""
+    n = P.n
+    orders = list(permutations(range(n)))
+    t = 1
+    while True:
+        for pick in combinations(orders, t):
+            pos = [{x: i for i, x in enumerate(od)} for od in pick]
+            strings = {(x, y): tuple(p[x] < p[y] for p in pos)
+                       for x in range(n) for y in range(n) if x != y}
+            comp = {s for (x, y), s in strings.items() if P.lt(x, y)}
+            if not any(s in comp for (x, y), s in strings.items()
+                       if not P.lt(x, y)):
+                return t
+        t += 1
+
+
 def is_reversible(P, pairs):
     """Decide whether one linear extension can reverse every pair in `pairs`.
 

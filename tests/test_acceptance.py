@@ -161,8 +161,8 @@ def test_criterion_6_fractional_dimension():
 
 def test_criterion_7_boolean_dimension():
     t0 = time.time()
-    bd2, _ = boolean_dimension_exact(std_example(2), budget=10 ** 7)
-    bd3, _ = boolean_dimension_exact(std_example(3), budget=10 ** 7)
+    bd2, _ = boolean_dimension_exact(std_example(2))
+    bd3, _ = boolean_dimension_exact(std_example(3))
     ok = bd2 == 2 and bd3 == 3
     verdict(7, ok, f"bdim(S_2)={bd2}, bdim(S_3)={bd3} ({time.time() - t0:.1f}s)")
     assert ok

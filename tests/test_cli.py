@@ -1,13 +1,18 @@
 """CLI surface: subcommands, exit codes, artifact round trips, determinism."""
 
+import io
 import json
+import os
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ordim.cli import main
-from ordim import (binary_distinguishing, pkn, serialize,
+from ordim.cli import KINDS, main
+from ordim import (binary_distinguishing, dm_dimension, pkn, serialize,
                    verify_fractional_realizer)
 
 
@@ -117,6 +122,11 @@ DEEP = "[" * 100_000 + "]" * 100_000
     (P14, DEEP, ["verify", "--kind", "realizer"]),
     (dict(ANTICHAIN2, labels=["a"]), None, ["compute"]),
     (dict(ANTICHAIN2, labels=[[1], [2]]), None, ["compute"]),
+    # t is refused before any mark is read: here the marks are small, but
+    # one mark near t would be a t-bit (12.5 GB) integer
+    (P15, dict(DIST, t=10 ** 11), ["verify", "--kind", "distinguishing"]),
+    (ANTICHAIN2, ANTICHAIN2_WEIGHTS % ('"7e-1"', '"3/10"', '"1"'),
+     ["verify", "--kind", "fractional"]),
 ], ids=["top-level-array", "realizer-without-extensions",
         "non-numeric-weight", "family-without-sets", "infinite-weight",
         "overflowing-weight", "zero-denominator-weight", "realizer-float-entry",
@@ -125,7 +135,8 @@ DEEP = "[" * 100_000 + "]" * 100_000
         "mark-zero", "bool-mark", "repeated-mark", "negative-t", "bool-k",
         "bool-ground", "float-ground", "float-poset-size",
         "bool-relation-entry", "bool-set-entry", "deep-input",
-        "deep-certificate", "too-few-labels", "non-string-labels"])
+        "deep-certificate", "too-few-labels", "non-string-labels", "huge-t",
+        "exponent-weight"])
 def test_malformed_documents_exit_2(tmp_path, capsys, doc, cert, argv):
     """doc and cert are JSON values, or raw JSON text for what json.dumps
     cannot write (1e400, nesting past the recursion limit) or writes only
@@ -417,3 +428,95 @@ def test_every_generator_roundtrips_through_compute(tmp_path):
         fam = tmp_path / f"g{i}.json"
         assert run(argv + ["--out", str(fam)]) == 0
         assert run(["compute", str(fam), "--only", "maxdd,se"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every document the CLI reads ends in a contract exit code
+
+# sizes are small or absurd: a mid-sized antichain is a slow instance, not a
+# malformed one, while 10^12 elements must be refused before any is built
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 8), st.just(10 ** 12),
+                 st.floats(allow_nan=False), st.text(max_size=4),
+                 st.lists(st.integers(-1, 6), max_size=3), st.just({}))
+INDICES = st.lists(st.integers(0, 5), max_size=6)
+
+
+@st.composite
+def field(draw, good):
+    """A value drawn from `good`, or one time in eight of any shape at all."""
+    return draw(JUNK) if draw(st.integers(0, 7)) == 0 else draw(good)
+
+
+def document(schema, **fields):
+    return field(st.fixed_dictionaries(
+        {"schema": st.just(schema),
+         **{name: field(good) for name, good in fields.items()}}))
+
+
+P14_REALIZER = serialize.certificate_to_json(dm_dimension(pkn(1, 4).poset).realizer)
+INPUTS = st.one_of(
+    field(st.sampled_from([P14, P15, ANTICHAIN2,
+                           serialize.family_to_json(pkn(1, 4).family),
+                           serialize.family_to_json(pkn(2, 5).family)])),
+    st.integers(1, 4).flatmap(lambda g: document(
+        "ordim/setfamily/1", ground=st.just(g),
+        sets=st.lists(st.lists(st.integers(1, g), max_size=g), max_size=8))),
+    st.integers(1, 5).flatmap(lambda n: document(
+        "ordim/poset/1", n=st.just(n),
+        relation=st.lists(st.lists(st.integers(0, n - 1), min_size=2,
+                                   max_size=2), max_size=n))))
+WEIGHTS = st.one_of(st.sampled_from(["1", "1/2", "-1", "3/0", "1e999999999"]),
+                    st.text("0123456789./-e", max_size=6))
+# t reaches the huge value that used to cost a t-bit mask, but marks stay
+# small, so a reader that lost the size check would answer, not exhaust memory
+CERTIFICATES = st.one_of(
+    field(st.sampled_from([
+        DIST, dict(DIST, sets=DIST["sets"][::-1]), P14_REALIZER,
+        dict(P14_REALIZER, extensions=P14_REALIZER["extensions"][1:]),
+        json.loads(ANTICHAIN2_WEIGHTS % ('"7/10"', '"3/10"', '"1"')),
+        json.loads(ANTICHAIN2_WEIGHTS % ('"7/10"', '"1/10"', '"1"'))])),
+    document("ordim/certificate/realizer/1", extensions=st.lists(INDICES, max_size=4)),
+    document("ordim/certificate/convex/1", perms=st.lists(INDICES, max_size=4)),
+    document("ordim/certificate/local/1", ples=st.lists(INDICES, max_size=4)),
+    document("ordim/certificate/boolean/1", orders=st.lists(INDICES, max_size=3),
+             tau=st.lists(st.text("01", max_size=3), max_size=4)),
+    document("ordim/certificate/fractional/1", weighted=st.lists(
+        st.fixed_dictionaries({"extension": field(INDICES),
+                               "weight": field(WEIGHTS)}), max_size=4)),
+    document("ordim/certificate/distinguishing/1", k=st.integers(-1, 3),
+             n=st.integers(-1, 6), t=st.sampled_from([0, 1, 3, 4, 10 ** 11]),
+             sets=st.lists(st.lists(st.integers(1, 4), max_size=4), max_size=6)))
+# a verify kind of None stands for the certificate's own kind
+COMMANDS = st.one_of(
+    st.tuples(st.just("compute"), st.sampled_from(
+        [[], ["--only", "dim,se"], ["--only", "cdim,fdim"], ["--only", "x"],
+         ["--budget", "0"], ["--budget", "3"]])),
+    st.tuples(st.just("verify"), st.sampled_from([None, *sorted(KINDS)])),
+    st.tuples(st.just("export"), st.sampled_from(["dot", "json"])))
+
+
+def own_kind(cert):
+    schema = cert.get("schema") if isinstance(cert, dict) else None
+    return next((kind for kind in KINDS if schema == serialize.SCHEMAS[kind]),
+                "realizer")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(INPUTS, CERTIFICATES, COMMANDS)
+def test_cli_fuzz_exits_by_contract(doc, cert, command):
+    name, option = command
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, "input.json"), os.path.join(tmp, "cert.json")]
+        for path, value in zip(paths, (doc, cert)):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(value, fh)
+        out = ["--out", os.path.join(tmp, "out")]
+        if name == "compute":
+            argv = ["compute", paths[0], *option, *out]
+        elif name == "verify":
+            argv = ["verify", *paths, "--kind", option or own_kind(cert)]
+        else:
+            argv = ["export", paths[0], "--format", option, *out]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = run(argv)
+    assert code in {0, 2, 3, 4, 5}

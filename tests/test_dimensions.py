@@ -19,16 +19,16 @@ from ordim import (BudgetExceeded, InvalidRealizer, MalformedCertificate,
                    randomized_distinguishing,
                    realizer_to_distinguishing, set_to_mask,
                    standard_example_number, verify_convex_realizer,
-                   verify_distinguishing, verify_fractional_realizer,
-                   verify_realizer)
+                   verify_boolean_realizer, verify_distinguishing,
+                   verify_fractional_realizer, verify_realizer)
 from ordim import dimensions
 from ordim.constructions import jkn
 from ordim.dimensions import DimensionReport, DistinguishingSequence
 from ordim.order import extend_reversing
 from ordim.serialize import report_to_json
 
-from oracles import (dm_dimension_unpruned, fdim_bruteforce, is_reversible,
-                     linear_extensions, se_bruteforce)
+from oracles import (bdim_bruteforce, dm_dimension_unpruned, fdim_bruteforce,
+                     is_reversible, linear_extensions, se_bruteforce)
 from posets import antichain, chain, random_poset, std_example
 
 
@@ -509,6 +509,19 @@ def test_distinguishing_to_realizer_matches_class_rule():
         distinguishing_to_realizer(k, n, bad, G=pkn(k, n))
 
 
+@pytest.mark.parametrize("G", [pkn(2, 5), boolean_algebra(5), qn_pn(3)[1]],
+                         ids=["pkn(2,5)", "boolean(5)", "pn(3)"])
+def test_pkn_certificate_builders_refuse_another_geometry(G):
+    seq = binary_distinguishing(5)
+    R = distinguishing_to_realizer(1, 5, seq)
+    with pytest.raises(ParamRange):
+        distinguishing_to_realizer(1, 5, seq, G=G)
+    with pytest.raises(ParamRange):
+        realizer_to_distinguishing(1, 5, R, G=G)
+    with pytest.raises(ParamRange):
+        pkn_fractional_certificate(1, 5, G=G)
+
+
 def test_randomized_distinguishing_gives_up_after_max_tries(monkeypatch):
     calls = []
 
@@ -580,6 +593,24 @@ def test_bdim_at_most_dim_for_square():
 def test_bdim_guard():
     with pytest.raises(ParamRange):
         boolean_dimension_exact(chain(7))
+
+
+@pytest.mark.parametrize("P", [antichain(1), antichain(2), antichain(5)],
+                         ids=["one-element", "antichain-2", "antichain-5"])
+def test_bdim_antichain_has_one_order(P):
+    # no comparable pair: one order with the empty accepting set is feasible
+    bd, cert = boolean_dimension_exact(P)
+    assert bd == 1 and len(cert.orders) == 1 and cert.tau == frozenset()
+    assert verify_boolean_realizer(P, cert)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_posets(most=5).filter(lambda P: P.n <= 5))
+def test_bdim_matches_bruteforce(P):
+    bd, cert = boolean_dimension_exact(P)
+    assert bd == bdim_bruteforce(P)
+    assert len(cert.orders) == bd
+    assert verify_boolean_realizer(P, cert)
 
 
 # ---------------------------------------------------------------------------
