@@ -64,9 +64,8 @@ def _cmd_gen(args) -> int:
     elif kind == "pn":
         fam = qn_pn(args.n)[1].family
     elif kind == "random":
-        seed = args.seed if args.seed is not None else 0
-        fam = random_geometry(args.n, args.t, seed).family
-        meta = {"seed": seed, "t": args.t}
+        fam = random_geometry(args.n, args.t, args.seed).family
+        meta = {"seed": args.seed, "t": args.t}
     elif kind == "enumerate":
         fams = [g.family for g in enumerate_geometries(args.n)]
         doc = serialize.families_to_json(args.n, fams)
@@ -179,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int)
     g.add_argument("--t", type=int, default=3, help="random: number of joined orders")
-    g.add_argument("--seed", type=int)
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--perm", help="linear: comma separated permutation")
     g.add_argument("--out")
     g.set_defaults(func=_cmd_gen)

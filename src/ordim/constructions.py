@@ -134,22 +134,6 @@ def qn_pn(n: int):
     return qg, pg
 
 
-def qn_grid_realizer(n: int):
-    """Three linear extensions of qn's inclusion order, each sorting the
-    staircase triples lexicographically under a cyclic rotation of the
-    coordinate priorities. Witnesses order dimension <= 3 for the grid."""
-    triples = [(i, j, k) for i in range(3) for j in range(n + 1)
-               for k in range(n + 1)]
-    masks = _canonical([_staircase_mask(n, *t) for t in triples])
-    pos = {_staircase_mask(n, *t): t for t in triples}
-    exts = []
-    for rot in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        order = sorted(range(len(masks)),
-                       key=lambda x: tuple(pos[masks[x]][r] for r in rot))
-        exts.append(tuple(order))
-    return exts
-
-
 def random_geometry(n: int, t: int, seed: int) -> ConvexGeometry:
     """Join of t uniformly random linear geometries; deterministic per seed."""
     if n < 1 or t < 1:

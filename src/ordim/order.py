@@ -31,22 +31,16 @@ class Poset:
 
     up[x] and down[x] are bitmasks of the principal filter and ideal of x.
     Construction through the public helpers guarantees the relation is
-    reflexive, antisymmetric and transitive; `validate` rechecks.
-
-    covers lists every cover pair (x, y), x < y with nothing strictly
-    between, in increasing (x, y) order. A builder that already knows them
-    passes them in; otherwise they are derived from `up` on construction.
+    reflexive, antisymmetric and transitive. covers lists every cover pair
+    (x, y), x < y with nothing strictly between, in increasing (x, y) order;
+    every builder derives them in the same pass as the rows.
     """
 
     n: int
     up: tuple
     down: tuple
+    covers: tuple
     labels: Optional[tuple] = None
-    covers: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.covers is None:
-            object.__setattr__(self, "covers", self._scan_covers())
 
     def leq(self, x: int, y: int) -> bool:
         return bool((self.up[x] >> y) & 1)
@@ -56,37 +50,6 @@ class Poset:
 
     def incomparable(self, x: int, y: int) -> bool:
         return x != y and not self.leq(x, y) and not self.leq(y, x)
-
-    def validate(self) -> None:
-        n = self.n
-        for x in range(n):
-            if not (self.up[x] >> x) & 1:
-                raise ValueError(f"relation not reflexive at {x}")
-            for y in _bits(self.up[x]):
-                if y != x and (self.up[y] >> x) & 1:
-                    raise ValueError(f"antisymmetry fails on {x},{y}")
-                if self.up[y] & ~self.up[x]:
-                    raise ValueError(f"transitivity fails at {x},{y}")
-            if self.down[x] != self._column(x):
-                raise ValueError(f"down/up matrices disagree at {x}")
-
-    def _column(self, x: int) -> int:
-        col = 0
-        for y in range(self.n):
-            if (self.up[y] >> x) & 1:
-                col |= 1 << y
-        return col
-
-    def _scan_covers(self) -> tuple:
-        out = []
-        for x in range(self.n):
-            strict = self.up[x] & ~(1 << x)
-            shadow = 0
-            for z in _bits(strict):
-                shadow |= self.up[z] & ~(1 << z)
-            for y in _bits(strict & ~shadow):
-                out.append((x, y))
-        return tuple(out)
 
     @cached_property
     def cover_succ(self) -> tuple:
@@ -111,50 +74,83 @@ class Poset:
         pairs = tuple(critical_pairs(self))
         return (pairs, *map(tuple, pair_relations(self, pairs)))
 
-    def is_chain(self) -> bool:
-        return all(self.up[x].bit_count() + self.down[x].bit_count() == self.n + 1
-                   for x in range(self.n))
+
+def _topological(succ: Sequence, indeg: list) -> list:
+    """Kahn's algorithm (Kahn 1962), smallest index first for determinism.
+
+    succ[x] lists the heads of the arcs out of x, indeg[y] counts the arcs
+    into y and is used up; a repeated arc counts and is walked once per
+    copy. Returns the order, which misses some element exactly when the
+    arcs hold a cycle: the missed ones keep a positive in-degree.
+    """
+    heap = [x for x, d in enumerate(indeg) if d == 0]
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        x = heapq.heappop(heap)
+        out.append(x)
+        for y in succ[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                heapq.heappush(heap, y)
+    return out
 
 
 def poset_from_relation(n: int, pairs: Iterable, labels=None) -> Poset:
     """Reflexive-transitive closure of the pairs (x, y) meaning x <= y.
 
-    Raises CycleError when the closure would identify distinct elements.
+    One topological pass over the listed arcs (self-pairs skipped): up[x]
+    is x's bit with the rows of x's successors, taken in reverse order,
+    down likewise forwards, and the covers of x are up[x] - x less the
+    strict filters of its successors. Raises CycleError on a directed cycle
+    of listed pairs, rotated to start at its least element.
     """
     if n < 0:
         raise ParamRange("n must be nonnegative")
-    up = [1 << x for x in range(n)]
-    adj = [0] * n
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
     for x, y in pairs:
         if not (0 <= x < n and 0 <= y < n):
             raise ParamRange(f"pair ({x},{y}) out of range for n={n}")
-        adj[x] |= 1 << y
-    # transitive closure, Warshall on bitset rows
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            new = up[x]
-            for y in _bits(adj[x] | (up[x] & ~(1 << x))):
-                new |= up[y]
-            if new != up[x]:
-                up[x] = new
-                changed = True
+        if x != y:
+            succ[x].append(y)
+            indeg[y] += 1
+    order = _topological(succ, indeg)
+    if len(order) != n:
+        # every element left out has a listed predecessor left out too: walk
+        # back from the least one, to the least such predecessor each time,
+        # until an element repeats
+        left = [x for x in range(n) if indeg[x]]
+        pred = {x: [] for x in left}
+        for x in left:
+            for y in succ[x]:
+                pred[y].append(x)
+        walk, at, x = [], {}, left[0]
+        while x not in at:
+            at[x] = len(walk)
+            walk.append(x)
+            x = min(pred[x])
+        cycle = walk[at[x]:][::-1]
+        k = cycle.index(min(cycle))
+        raise CycleError(cycle[k:] + cycle[:k])
+    up = [1 << x for x in range(n)]
+    down = list(up)
+    for x in reversed(order):
+        row = up[x]
+        for y in succ[x]:
+            row |= up[y]
+        up[x] = row
+    for x in order:
+        for y in succ[x]:
+            down[y] |= down[x]
+    covers = []
     for x in range(n):
-        for y in _bits(up[x]):
-            if y != x and (up[y] >> x) & 1:
-                raise CycleError([x, y])
-    return poset_from_up_rows(up, labels)
-
-
-def poset_from_up_rows(up: Sequence[int], labels=None) -> Poset:
-    """Wrap precomputed filter rows; trusts that they form a valid order."""
-    n = len(up)
-    down = [0] * n
-    for x in range(n):
-        for y in _bits(up[x]):
-            down[y] |= 1 << x
-    return Poset(n, tuple(up), tuple(down), tuple(labels) if labels else None)
+        shadow = 0
+        for y in succ[x]:
+            shadow |= up[y] & ~(1 << y)
+        covers += ((x, y) for y in _bits(up[x] & ~shadow & ~(1 << x)))
+    return Poset(n, tuple(up), tuple(down), tuple(covers),
+                 tuple(labels) if labels else None)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +312,8 @@ def _heaviest_reversible(M, mutual, weights: Sequence[int],
 def extend_reversing(P: Poset, pairs: Sequence):
     """Linear extension of P placing b before a for every pair (a, b), or None.
 
-    Kahn's algorithm over cover arcs plus the reversal arcs b -> a, smallest
-    index first for determinism. Arcs are walked as index lists; a repeated
-    arc raises an in-degree once per copy and is walked once per copy, so
-    every element is released at the same step as with distinct arcs.
+    `_topological` over the cover arcs plus the reversal arcs b -> a.
     """
-    n = P.n
     succ = list(P.cover_succ)
     indeg = list(P.cover_indeg)
     extra = {}
@@ -330,19 +322,8 @@ def extend_reversing(P: Poset, pairs: Sequence):
         indeg[a] += 1
     for b, more in extra.items():
         succ[b] += tuple(more)
-    heap = [x for x in range(n) if indeg[x] == 0]
-    heapq.heapify(heap)
-    out = []
-    while heap:
-        x = heapq.heappop(heap)
-        out.append(x)
-        for y in succ[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                heapq.heappush(heap, y)
-    if len(out) != n:
-        return None
-    return tuple(out)
+    out = _topological(succ, indeg)
+    return tuple(out) if len(out) == P.n else None
 
 
 # ---------------------------------------------------------------------------

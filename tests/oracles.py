@@ -10,12 +10,59 @@ from itertools import combinations, permutations
 
 from ordim import ParamRange, Realizer
 from ordim.certificates import realizer_from_reversible_classes
+from ordim.constructions import _staircase_mask
+from ordim.geometry import _canonical
 from ordim.order import _adds_cycle, _bits, _clique, extend_reversing, pair_digraph
 from ordim.simplex import solve_covering
 
 
 class CountExceeded(Exception):
     """An enumeration produced more items than the caller allowed."""
+
+
+def covers_by_definition(P):
+    """The pairs (x, y), x < y with nothing strictly between, in increasing
+    (x, y) order: x and y are the only elements of [x, y]."""
+    return tuple((x, y) for x in range(P.n) for y in _bits(P.up[x] & ~(1 << x))
+                 if (P.up[x] & P.down[y]).bit_count() == 2)
+
+
+def check_order(P):
+    """Raise ValueError unless up is reflexive, antisymmetric and transitive
+    and down is its transpose."""
+    for x in range(P.n):
+        if not (P.up[x] >> x) & 1:
+            raise ValueError(f"relation not reflexive at {x}")
+        for y in _bits(P.up[x]):
+            if y != x and (P.up[y] >> x) & 1:
+                raise ValueError(f"antisymmetry fails on {x},{y}")
+            if P.up[y] & ~P.up[x]:
+                raise ValueError(f"transitivity fails at {x},{y}")
+        column = sum(1 << y for y in range(P.n) if (P.up[y] >> x) & 1)
+        if P.down[x] != column:
+            raise ValueError(f"down/up matrices disagree at {x}")
+
+
+def is_chain(P):
+    """Every two elements are comparable."""
+    return all(P.up[x].bit_count() + P.down[x].bit_count() == P.n + 1
+               for x in range(P.n))
+
+
+def qn_grid_realizer(n):
+    """Three linear extensions of qn's inclusion order, each sorting the
+    staircase triples lexicographically under a cyclic rotation of the
+    coordinate priorities. Witnesses order dimension <= 3 for the grid."""
+    triples = [(i, j, k) for i in range(3) for j in range(n + 1)
+               for k in range(n + 1)]
+    masks = _canonical([_staircase_mask(n, *t) for t in triples])
+    pos = {_staircase_mask(n, *t): t for t in triples}
+    exts = []
+    for rot in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        order = sorted(range(len(masks)),
+                       key=lambda x: tuple(pos[masks[x]][r] for r in rot))
+        exts.append(tuple(order))
+    return exts
 
 
 def incomparable_pairs(P):

@@ -17,7 +17,7 @@ from ordim import (AxiomViolation, ConvexGeometry, GroundMismatch, SetFamily,
 from ordim.constructions import jkn
 from ordim.geometry import set_label
 
-from oracles import maximal_chains
+from oracles import covers_by_definition, is_chain, maximal_chains
 
 
 def family(n, *sets):
@@ -51,7 +51,7 @@ def test_power_set_validates():
 
 def test_sparse_family_validates():
     G = validate_convex_geometry(family(2, [], [1], [1, 2]))
-    assert G.poset.is_chain()
+    assert is_chain(G.poset)
 
 
 def test_extension_violation_witness_empty_set():
@@ -182,12 +182,16 @@ def test_poset_rows_and_covers_match_inclusion_scan():
 
 
 def test_validated_covers_match_generic_scan():
+    # geometry posets get their covers from one-element extensions, and
     # is_linear_extension checks only these pairs, so they must be exactly
-    # the covers that the generic scan of the order finds
-    for seed in range(40):
-        n, t = 4 + seed % 7, 1 + seed % 4
-        G = validate_convex_geometry(random_geometry(n, t, seed).family)
-        assert G.poset.covers == G.poset._scan_covers()
+    # the covers of the order by definition
+    samples = [validate_convex_geometry(random_geometry(4 + s % 7, 1 + s % 4,
+                                                        s).family)
+               for s in range(40)]
+    samples += list(enumerate_geometries(3)) + [pkn(1, 5), pkn(2, 5),
+                                                boolean_algebra(3)]
+    for G in samples:
+        assert G.poset.covers == covers_by_definition(G.poset)
 
 
 def test_import_leaves_numpy_unloaded(fresh_python):
@@ -333,10 +337,8 @@ def test_boolean_property_rejects_n5():
     # pentagon lattice as an inclusion model: 0 < a < c < 1, 0 < b < 1
     fam = [[], [1], [2], [1, 3], [1, 2, 3]]
     masks = [set_to_mask(s) for s in fam]
-    from ordim.order import poset_from_up_rows
-    rows = [sum(1 << j for j, b in enumerate(masks) if a & ~b == 0)
-            for a in masks]
-    P = poset_from_up_rows(rows)
+    P = poset_from_relation(5, [(i, j) for i, a in enumerate(masks)
+                                for j, b in enumerate(masks) if a & ~b == 0])
     ok, witness = check_boolean_property(P)
     assert not ok
     assert witness == 4    # the top: meet of its two covers is the bottom
@@ -346,10 +348,8 @@ def test_boolean_property_rejects_m3():
     # diamond with three atoms: not meet-distributive either
     fam = [[], [1], [2], [3], [1, 2, 3]]
     masks = [set_to_mask(s) for s in fam]
-    from ordim.order import poset_from_up_rows
-    rows = [sum(1 << j for j, b in enumerate(masks) if a & ~b == 0)
-            for a in masks]
-    P = poset_from_up_rows(rows)
+    P = poset_from_relation(5, [(i, j) for i, a in enumerate(masks)
+                                for j, b in enumerate(masks) if a & ~b == 0])
     ok, witness = check_boolean_property(P)
     assert not ok
 

@@ -112,14 +112,3 @@ def test_boolean_algebra_contains_standard_example_via_layers():
         mins, maxs = emb
         assert all(bin(G.masks[i]).count("1") == 1 for i in mins)
         assert all(bin(G.masks[i]).count("1") == n - 1 for i in maxs)
-
-
-def test_graded_cover_shortcut_matches_generic_definition():
-    # geometry posets get their covers from one-element extensions; they must
-    # agree with the betweenness definition computed from the raw relation
-    from ordim.order import Poset
-    samples = list(enumerate_geometries(3)) + [pkn(1, 5), pkn(2, 5),
-                                               boolean_algebra(3)]
-    for G in samples:
-        generic = Poset(G.poset.n, G.poset.up, G.poset.down)
-        assert sorted(G.poset.covers) == sorted(generic.covers)

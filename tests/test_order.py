@@ -15,8 +15,9 @@ from ordim import (CycleError, critical_pairs, downset_lattice,
 from ordim.order import (_bits, _clique, _heaviest_reversible, extend_reversing,
                          max_weight_reversal, pair_digraph, pair_relations)
 
-from oracles import (CountExceeded, incomparable_pairs, is_reversible,
-                     linear_extensions, strict_alternating_cycles)
+from oracles import (CountExceeded, check_order, covers_by_definition,
+                     incomparable_pairs, is_reversible, linear_extensions,
+                     strict_alternating_cycles)
 from posets import antichain, chain, random_poset, std_example
 
 
@@ -35,28 +36,78 @@ def test_closure_forces_transitivity():
 
 
 def test_cycle_raises():
-    with pytest.raises(CycleError):
-        poset_from_relation(2, [(0, 1), (1, 0)])
+    # the cycle is named as listed pairs from its least element, not as a
+    # mutually reachable pair
+    for n, pairs, cycle in ((2, [(0, 1), (1, 0)], [0, 1]),
+                            (2, [(1, 0), (0, 1)], [0, 1]),
+                            (3, [(2, 0), (0, 1), (1, 2)], [0, 1, 2])):
+        with pytest.raises(CycleError) as exc:
+            poset_from_relation(n, pairs)
+        assert exc.value.cycle == cycle
+
+
+@st.composite
+def relations(draw):
+    """(n, pairs) on at most 12 elements, in any order, with self-pairs and
+    repeats; half the draws orient every pair along a hidden linear order,
+    so that acyclic relations are as common as cyclic ones."""
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return 0, []
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=30))
+    if draw(st.booleans()):
+        rank = draw(st.permutations(range(n)))
+        pairs = [(x, y) if rank[x] <= rank[y] else (y, x) for x, y in pairs]
+    return n, pairs
+
+
+def reachable(n, pairs):
+    """reach[x]: the elements a breadth-first search from x reaches over the
+    listed pairs, x included."""
+    succ = [set() for _ in range(n)]
+    for x, y in pairs:
+        succ[x].add(y)
+    reach = []
+    for x in range(n):
+        seen, frontier = {x}, [x]
+        while frontier:
+            frontier = [z for y in frontier for z in succ[y] if z not in seen]
+            seen.update(frontier)
+        reach.append(seen)
+    return reach
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(relations())
+def test_relation_closure_matches_reachability(rel):
+    n, pairs = rel
+    reach = reachable(n, pairs)
+    cyclic = any(x in reach[y] for x in range(n) for y in reach[x] if y != x)
+    if cyclic:
+        with pytest.raises(CycleError) as exc:
+            poset_from_relation(n, pairs)
+        cycle = exc.value.cycle
+        assert len(set(cycle)) == len(cycle) >= 2
+        assert cycle[0] == min(cycle)
+        listed = set(pairs)
+        assert all((x, y) in listed for x, y in zip(cycle, cycle[1:] + cycle[:1]))
+        return
+    P = poset_from_relation(n, pairs)
+    assert P.up == tuple(sum(1 << y for y in reach[x]) for x in range(n))
+    assert P.down == tuple(sum(1 << x for x in range(n) if (P.up[x] >> y) & 1)
+                           for y in range(n))
+    assert P.covers == covers_by_definition(P)
 
 
 def test_validate_accepts_built_posets():
     rng = random.Random(7)
     for _ in range(20):
-        random_poset(rng, 7).validate()
+        check_order(random_poset(rng, 7))
 
 
 # ---------------------------------------------------------------------------
 # covers and degrees
-
-def brute_covers(P):
-    out = []
-    for x in range(P.n):
-        for y in range(P.n):
-            if P.lt(x, y) and not any(
-                    P.lt(x, z) and P.lt(z, y) for z in range(P.n)):
-                out.append((x, y))
-    return out
-
 
 def test_hasse_chain_and_antichain():
     assert list(chain(3).covers) == [(0, 1), (1, 2)]
@@ -73,7 +124,7 @@ def test_hasse_matches_betweenness_oracle():
     rng = random.Random(11)
     for _ in range(25):
         P = random_poset(rng, 7)
-        assert sorted(P.covers) == sorted(brute_covers(P))
+        assert P.covers == covers_by_definition(P)
 
 
 def test_degrees():
@@ -525,13 +576,12 @@ def test_standard_example_deeper_than_recursion_limit(fresh_python):
     code = """
 import sys
 from ordim.dimensions import dm_dimension
-from ordim.order import (find_standard_example, poset_from_up_rows,
+from ordim.order import (find_standard_example, poset_from_relation,
                          standard_example_number)
 sys.setrecursionlimit(200)
 n = 300
-tops = ((1 << n) - 1) << n
-P = poset_from_up_rows([(1 << i) | (tops & ~(1 << (n + i))) for i in range(n)]
-                       + [1 << (n + i) for i in range(n)])
+P = poset_from_relation(2 * n, [(i, n + j) for i in range(n) for j in range(n)
+                                if i != j])
 assert standard_example_number(P) == n
 assert find_standard_example(P, n) == (tuple(range(n)), tuple(range(n, 2 * n)))
 assert dm_dimension(P).dim == n
