@@ -9,7 +9,8 @@ from ordim import (Realizer, boolean_algebra, critical_pairs,
                    random_geometry, vc_dimension_shattering, verify_realizer)
 from ordim.certificates import is_linear_extension
 
-from oracles import linear_extensions, strict_alternating_cycles
+from oracles import (covers_by_definition, linear_extensions,
+                     strict_alternating_cycles)
 from posets import random_poset
 
 
@@ -112,3 +113,12 @@ def test_boolean_algebra_contains_standard_example_via_layers():
         mins, maxs = emb
         assert all(bin(G.masks[i]).count("1") == 1 for i in mins)
         assert all(bin(G.masks[i]).count("1") == n - 1 for i in maxs)
+
+
+def test_graded_cover_shortcut_matches_generic_definition():
+    # geometry posets get their covers from one-element extensions; they must
+    # agree with the betweenness definition computed from the order
+    samples = list(enumerate_geometries(3)) + [pkn(1, 5), pkn(2, 5),
+                                               boolean_algebra(3)]
+    for G in samples:
+        assert G.poset.covers == covers_by_definition(G.poset)
