@@ -100,12 +100,12 @@ def _cmd_verify(args) -> int:
     P = G.poset if G is not None else poset
     if not isinstance(cert, KINDS[kind]):
         raise MalformedCertificate(f"certificate is not a {kind} certificate")
+    if G is None and kind in ("convex", "distinguishing"):
+        raise MalformedCertificate(f"{kind} certificates need a set family input")
 
     if kind == "realizer":
         ok, detail = verify_realizer(P, cert), ""
     elif kind == "convex":
-        if G is None:
-            raise MalformedCertificate("convex certificates need a set family input")
         ok, detail = verify_convex_realizer(G, cert.perms), ""
     elif kind == "local":
         ok, mult = verify_local_realizer(P, cert)
@@ -116,7 +116,7 @@ def _cmd_verify(args) -> int:
         ok, total = verify_fractional_realizer(P, cert)
         detail = f"total weight {total}"
     else:  # distinguishing
-        if G is None or not is_pkn(G.family, cert.k, cert.n):
+        if not is_pkn(G.family, cert.k, cert.n):
             print(f"reject: input family is not pkn({cert.k},{cert.n})")
             return EXIT_REJECT
         ok, witness = verify_distinguishing(cert.k, cert.n, cert)
@@ -216,6 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if (getattr(args, "budget", None) or 0) < 0:
+        ap.error(f"argument --budget: must be an integer >= 0, got {args.budget}")
     try:
         return args.func(args)
     except AxiomViolation as exc:

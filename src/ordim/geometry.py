@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (AxiomViolation, GroundMismatch, NotMeetIrreducible,
                      ParamRange)
-from .order import Poset, _bits
+from .order import Poset, _bits, _rows
 
 
 def set_to_mask(elements: Iterable[int]) -> int:
@@ -170,39 +170,26 @@ def validate_convex_geometry(family: SetFamily) -> ConvexGeometry:
     m = len(masks)
     singletons = [1 << e for e in range(n)]
     ups = [[] for _ in range(m)]
-    downs = [[] for _ in range(m)]
-    covers = []
     for i, a in enumerate(masks):
         for s in singletons:
             j = index.get(a | s)
             if j is not None and j != i:
-                covers.append((i, j))
                 ups[i].append(j)
-                downs[j].append(i)
+    # canonical order is topological: a one-element extension comes later
+    up, down = _rows(range(m), ups)
+    poset = Poset(m, tuple(up), tuple(down), tuple(map(tuple, ups)))
     # the ground set is the last member, the only one with nothing above
     if not all(ups[:-1]) or not all(
             masks[p] & masks[q] in index
-            for below in downs for x, p in enumerate(below) for q in below[:x]):
+            for below in poset.cover_pred
+            for x, p in enumerate(below) for q in below[:x]):
         _check_intersections(family)
         a = _first_unextendable(masks, index, n)
         if a is None:
             raise AssertionError("local axiom check failed on a convex geometry")
         raise AxiomViolation("extension", mask_to_set(a))
-    up = [0] * m
-    for i in range(m - 1, -1, -1):
-        row = 1 << i
-        for j in ups[i]:
-            row |= up[j]
-        up[i] = row
-    down = [0] * m
-    for j in range(m):
-        row = 1 << j
-        for i in downs[j]:
-            row |= down[i]
-        down[j] = row
-    poset = Poset(m, tuple(up), tuple(down), covers=tuple(covers))
     meet_irr = tuple(i for i in range(m) if len(ups[i]) == 1)
-    join_irr = tuple(j for j in range(m) if len(downs[j]) == 1)
+    join_irr = tuple(j for j, d in enumerate(poset.cover_indeg) if d == 1)
     return ConvexGeometry(family, poset, meet_irr, join_irr)
 
 
@@ -300,11 +287,7 @@ def check_boolean_property(P: Poset):
     convex geometry posets; fails on non-meet-distributive lattices. Returns
     (True, None) or (False, witness_index).
     """
-    lower = [[] for _ in range(P.n)]
-    for x, y in P.covers:
-        lower[y].append(x)
-    for y in range(P.n):
-        covs = lower[y]
+    for y, covs in enumerate(P.cover_pred):
         m = len(covs)
         if m == 0:
             continue

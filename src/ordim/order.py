@@ -31,15 +31,16 @@ class Poset:
 
     up[x] and down[x] are bitmasks of the principal filter and ideal of x.
     Construction through the public helpers guarantees the relation is
-    reflexive, antisymmetric and transitive. covers lists every cover pair
-    (x, y), x < y with nothing strictly between, in increasing (x, y) order;
-    every builder derives them in the same pass as the rows.
+    reflexive, antisymmetric and transitive. cover_succ[x] lists the upper
+    covers of x (the y > x with nothing strictly between) in increasing
+    order; every builder derives them in the same pass as the rows, and
+    every other cover form is read from them.
     """
 
     n: int
     up: tuple
     down: tuple
-    covers: tuple
+    cover_succ: tuple
     labels: Optional[tuple] = None
 
     def leq(self, x: int, y: int) -> bool:
@@ -52,20 +53,24 @@ class Poset:
         return x != y and not self.leq(x, y) and not self.leq(y, x)
 
     @cached_property
-    def cover_succ(self) -> tuple:
-        """cover_succ[x] lists the upper covers of x in increasing order."""
+    def covers(self) -> tuple:
+        """Every cover pair (x, y) in increasing (x, y) order."""
+        return tuple((x, y) for x, above in enumerate(self.cover_succ)
+                     for y in above)
+
+    @cached_property
+    def cover_pred(self) -> tuple:
+        """cover_pred[y] lists the lower covers of y in increasing order."""
         adj = [[] for _ in range(self.n)]
-        for x, y in self.covers:
-            adj[x].append(y)
-        return tuple(tuple(a) for a in adj)
+        for x, above in enumerate(self.cover_succ):
+            for y in above:
+                adj[y].append(x)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def cover_indeg(self) -> tuple:
         """cover_indeg[y] counts the lower covers of y."""
-        deg = [0] * self.n
-        for _, y in self.covers:
-            deg[y] += 1
-        return tuple(deg)
+        return tuple(map(len, self.cover_pred))
 
     @cached_property
     def pair_data(self) -> tuple:
@@ -96,12 +101,27 @@ def _topological(succ: Sequence, indeg: list) -> list:
     return out
 
 
+def _rows(order: Sequence, succ: Sequence) -> tuple:
+    """(up, down) rows closing the arcs x -> succ[x] along `order`, which
+    lists every element, each arc's tail before its head."""
+    up = [1 << x for x in range(len(succ))]
+    down = list(up)
+    for x in reversed(order):
+        row = up[x]
+        for y in succ[x]:
+            row |= up[y]
+        up[x] = row
+    for x in order:
+        for y in succ[x]:
+            down[y] |= down[x]
+    return up, down
+
+
 def poset_from_relation(n: int, pairs: Iterable, labels=None) -> Poset:
     """Reflexive-transitive closure of the pairs (x, y) meaning x <= y.
 
-    One topological pass over the listed arcs (self-pairs skipped): up[x]
-    is x's bit with the rows of x's successors, taken in reverse order,
-    down likewise forwards, and the covers of x are up[x] - x less the
+    One topological pass over the listed arcs (self-pairs skipped), closed
+    by `_rows` along that order; the covers of x are up[x] - x less the
     strict filters of its successors. Raises CycleError on a directed cycle
     of listed pairs, rotated to start at its least element.
     """
@@ -133,23 +153,14 @@ def poset_from_relation(n: int, pairs: Iterable, labels=None) -> Poset:
         cycle = walk[at[x]:][::-1]
         k = cycle.index(min(cycle))
         raise CycleError(cycle[k:] + cycle[:k])
-    up = [1 << x for x in range(n)]
-    down = list(up)
-    for x in reversed(order):
-        row = up[x]
-        for y in succ[x]:
-            row |= up[y]
-        up[x] = row
-    for x in order:
-        for y in succ[x]:
-            down[y] |= down[x]
-    covers = []
+    up, down = _rows(order, succ)
+    cover_succ = []
     for x in range(n):
         shadow = 0
         for y in succ[x]:
             shadow |= up[y] & ~(1 << y)
-        covers += ((x, y) for y in _bits(up[x] & ~shadow & ~(1 << x)))
-    return Poset(n, tuple(up), tuple(down), tuple(covers),
+        cover_succ.append(tuple(_bits(up[x] & ~shadow & ~(1 << x))))
+    return Poset(n, tuple(up), tuple(down), tuple(cover_succ),
                  tuple(labels) if labels else None)
 
 
@@ -172,9 +183,10 @@ def critical_pairs(P: Poset):
     full = (1 << P.n) - 1
     above = [full] * P.n
     below = [full] * P.n
-    for x, y in P.covers:
-        above[y] &= P.up[x]
-        below[x] &= P.down[y]
+    for x, ys in enumerate(P.cover_succ):
+        for y in ys:
+            above[y] &= P.up[x]
+            below[x] &= P.down[y]
     out = []
     for a in range(P.n):
         for b in _bits(above[a] & ~(P.up[a] | P.down[a])):

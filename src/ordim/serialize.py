@@ -133,15 +133,12 @@ def family_to_json(fam: SetFamily, meta: Optional[dict] = None) -> dict:
     return doc
 
 
-def families_to_json(ground: int, fams, meta: Optional[dict] = None) -> dict:
-    doc = {
+def families_to_json(ground: int, fams) -> dict:
+    return {
         "schema": SCHEMAS["setfamilies"],
         "ground": ground,
         "families": [[list(s) for s in f.sets()] for f in fams],
     }
-    if meta:
-        doc["meta"] = meta
-    return doc
 
 
 def family_from_json(doc: dict) -> SetFamily:

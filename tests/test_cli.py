@@ -174,9 +174,16 @@ def test_unreadable_files_exit_2(tmp_path, capsys, argv):
     (["theorems", "--population", "named:pkn=1"], "pkn=1"),
     (["theorems", "--population", "enumerate:x"], "enumerate:x"),
     (["gen", "linear", "--n", "3", "--perm", "1,2,x"], "1,2,x"),
-], ids=["random-too-few", "named-too-few", "enumerate-not-int", "perm-not-int"])
+    (["compute", "p15.json", "--budget", "-5"], "got -5"),
+    (["theorems", "--population", "enumerate:3", "--budget", "-3"], "got -3"),
+], ids=["random-too-few", "named-too-few", "enumerate-not-int", "perm-not-int",
+        "compute-negative-budget", "theorems-negative-budget"])
 def test_bad_specs_exit_2(capsys, argv, spec):
-    assert run(argv) == 2
+    try:
+        code = run(argv)
+    except SystemExit as exc:    # the parser reports its own usage errors
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
     assert spec in err
     assert "Traceback" not in err
@@ -297,6 +304,27 @@ def test_budget_exit_code(tmp_path):
                 "--out", str(rep)])
     assert code == 4
     assert read_json(rep)["params"] == {}
+    # a zero budget is a budget, not a usage error
+    assert run(["compute", str(fam), "--only", "dim", "--budget", "0",
+                "--out", str(rep)]) == 4
+
+
+@pytest.mark.parametrize("argv, cert", [
+    (["verify", "--kind", "convex"],
+     {"schema": "ordim/certificate/convex/1", "perms": [[1, 2]]}),
+    (["verify", "--kind", "distinguishing"], DIST),
+    (["export"], None),
+], ids=["verify-convex", "verify-distinguishing", "export"])
+def test_family_commands_refuse_poset_input_exit_2(tmp_path, capsys, argv, cert):
+    pos = tmp_path / "s2.json"
+    pos.write_text(json.dumps(ANTICHAIN2))
+    args = [argv[0], str(pos)]
+    if cert is not None:
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        args.append(str(path))
+    assert run(args + argv[1:]) == 2
+    assert capsys.readouterr().err.endswith(" a set family input\n")
 
 
 def test_compute_poset_input(tmp_path):

@@ -179,6 +179,17 @@ def test_poset_rows_and_covers_match_inclusion_scan():
         below = Counter(y for _, y in covers)
         assert G.meet_irr == tuple(x for x in range(m) if above[x] == 1)
         assert G.join_irr == tuple(y for y in range(m) if below[y] == 1)
+        # every cover form agrees with the scanned pairs
+        succ, pred = [[] for _ in range(m)], [[] for _ in range(m)]
+        for x, y in covers:
+            succ[x].append(y)
+            pred[y].append(x)
+        assert G.poset.cover_succ == tuple(map(tuple, succ))
+        assert G.poset.cover_pred == tuple(map(tuple, pred))
+        assert G.poset.cover_indeg == tuple(below[y] for y in range(m))
+        # the relation builder closes the same covers to the same poset
+        P = poset_from_relation(m, G.poset.covers)
+        assert (P.up, P.down, P.cover_succ) == (up, down, G.poset.cover_succ)
 
 
 def test_validated_covers_match_generic_scan():
