@@ -248,6 +248,83 @@ def test_verify_distinguishing_decides_pkn_without_building_it(tmp_path, capsys)
     assert capsys.readouterr().out == "reject: input family is not pkn(8,24)\n"
 
 
+S2 = {"schema": "ordim/poset/1", "n": 4, "relation": [[0, 3], [1, 2]]}
+
+
+def pinned_certificate(name):
+    """The certificate a verdict line below is pinned on, built afresh."""
+    from ordim import (BooleanRealizer, ConvexRealizer, DistinguishingSequence,
+                       FractionalRealizer, LocalRealizer, Realizer,
+                       boolean_dimension_exact, convex_dimension,
+                       pkn_fractional_certificate, poset_from_relation)
+    G = pkn(1, 4)
+    if name.startswith("realizer"):
+        exts = dm_dimension(G.poset).realizer.extensions
+        return Realizer(exts[:1] if name == "realizer-one" else exts)
+    if name.startswith("convex"):
+        perms = convex_dimension(G).realizer.perms
+        return ConvexRealizer(perms[:1] if name == "convex-one" else perms)
+    if name.startswith("local"):
+        ples = ((1, 2, 0, 3), (0, 3, 1, 2))
+        return LocalRealizer(ples[:1] if name == "local-one" else ples)
+    if name.startswith("boolean"):
+        cert = boolean_dimension_exact(poset_from_relation(4, [(0, 3), (1, 2)]))[1]
+        return BooleanRealizer(cert.orders, frozenset()) if name == "boolean-no-tau" else cert
+    if name.startswith("fractional"):
+        weighted = pkn_fractional_certificate(1, 4).weighted
+        return FractionalRealizer(weighted[1:] if name == "fractional-short" else weighted)
+    seq = binary_distinguishing(5)
+    if name == "distinguishing-reversed":
+        return DistinguishingSequence(seq.k, seq.n, seq.t, seq.sets[::-1])
+    return seq
+
+
+P14_FAMILY = serialize.family_to_json(pkn(1, 4).family)
+B3 = {"schema": "ordim/setfamily/1", "ground": 3,
+      "sets": [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]]}
+
+
+@pytest.mark.parametrize("doc, name, kind, line, code", [
+    (P14_FAMILY, "realizer", "realizer", "accept realizer certificate", 0),
+    (P14_FAMILY, "realizer-one", "realizer", "reject realizer certificate", 5),
+    (P14_FAMILY, "convex", "convex", "accept convex certificate", 0),
+    (P14_FAMILY, "convex-one", "convex", "reject convex certificate", 5),
+    (S2, "local", "local", "accept local certificate (max multiplicity 2)", 0),
+    (S2, "local-one", "local", "reject local certificate (max multiplicity 1)", 5),
+    (S2, "boolean", "boolean", "accept boolean certificate", 0),
+    (S2, "boolean-no-tau", "boolean", "reject boolean certificate", 5),
+    (P14_FAMILY, "fractional", "fractional",
+     "accept fractional certificate (total weight 15/4)", 0),
+    (P14_FAMILY, "fractional-short", "fractional",
+     "reject fractional certificate (total weight 7/2)", 5),
+    (P15, "distinguishing", "distinguishing", "accept distinguishing certificate", 0),
+    (P15, "distinguishing-reversed", "distinguishing",
+     "reject distinguishing certificate (fails on member (3,))", 5),
+    (B3, "distinguishing", "distinguishing",
+     "reject: input family is not pkn(1,5)", 5),
+], ids=["realizer", "realizer-one", "convex", "convex-one", "local",
+        "local-one", "boolean", "boolean-no-tau", "fractional",
+        "fractional-short", "distinguishing", "distinguishing-reversed",
+        "distinguishing-not-pkn"])
+def test_verify_verdict_lines(tmp_path, capsys, doc, name, kind, line, code):
+    """Each kind's accept and reject line, byte for byte, and its exit code."""
+    fam = tmp_path / "input.json"
+    fam.write_text(json.dumps(doc))
+    cert = tmp_path / "cert.json"
+    cert.write_text(serialize.dumps(serialize.certificate_to_json(
+        pinned_certificate(name))))
+    assert run(["verify", str(fam), str(cert), "--kind", kind]) == code
+    assert capsys.readouterr().out == line + "\n"
+
+
+def test_verify_kind_choices_in_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--help"])
+    assert exc.value.code == 0
+    assert ("--kind {realizer,convex,boolean,local,fractional,distinguishing}"
+            in capsys.readouterr().out)
+
+
 def test_theorems_table(tmp_path, capsys):
     code = run(["theorems", "--population", "named:linear=3;boolean=2",
                 "--checks", "Thm3.1,Thm3.4,Prop3.8"])
