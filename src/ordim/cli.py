@@ -13,17 +13,12 @@ import os
 import sys
 
 from . import serialize
-from .certificates import (BooleanRealizer, FractionalRealizer, LocalRealizer,
-                           Realizer, verify_boolean_realizer,
-                           verify_fractional_realizer, verify_local_realizer,
-                           verify_realizer)
-from .constructions import (boolean_algebra, enumerate_geometries, is_pkn,
+from .constructions import (boolean_algebra, enumerate_geometries,
                             linear_geometry, pkn, qn_pn, random_geometry)
-from .dimensions import DistinguishingSequence, analyze, verify_distinguishing
+from .dimensions import analyze
 from .errors import (AxiomViolation, BudgetExceeded, MalformedCertificate,
                      OrdimError, ParamRange)
-from .geometry import (ConvexRealizer, validate_convex_geometry,
-                       verify_convex_realizer)
+from .geometry import validate_convex_geometry
 from .suite import (ALL_CHECKS, parse_ints, parse_named, population_enumerate,
                     population_random, rows_to_json, rows_to_table, run_suite)
 
@@ -32,12 +27,6 @@ EXIT_USAGE = 2
 EXIT_AXIOM = 3
 EXIT_BUDGET = 4
 EXIT_REJECT = 5
-
-# each --kind and the certificate class certificate_from_json returns for it
-KINDS = {"realizer": Realizer, "convex": ConvexRealizer,
-         "boolean": BooleanRealizer, "local": LocalRealizer,
-         "fractional": FractionalRealizer,
-         "distinguishing": DistinguishingSequence}
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -95,38 +84,19 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     fam, poset = serialize.load_document(args.input)
     cert = serialize.certificate_from_json(serialize.read_json(args.certificate))
-    kind = args.kind
+    kind = serialize.CERTIFICATE_KINDS[args.kind]
     G = validate_convex_geometry(fam) if fam is not None else None
-    P = G.poset if G is not None else poset
-    if not isinstance(cert, KINDS[kind]):
-        raise MalformedCertificate(f"certificate is not a {kind} certificate")
-    if G is None and kind in ("convex", "distinguishing"):
-        raise MalformedCertificate(f"{kind} certificates need a set family input")
-
-    if kind == "realizer":
-        ok, detail = verify_realizer(P, cert), ""
-    elif kind == "convex":
-        ok, detail = verify_convex_realizer(G, cert.perms), ""
-    elif kind == "local":
-        ok, mult = verify_local_realizer(P, cert)
-        detail = f"max multiplicity {mult}"
-    elif kind == "boolean":
-        ok, detail = verify_boolean_realizer(P, cert), ""
-    elif kind == "fractional":
-        ok, total = verify_fractional_realizer(P, cert)
-        detail = f"total weight {total}"
-    else:  # distinguishing
-        if not is_pkn(G.family, cert.k, cert.n):
-            print(f"reject: input family is not pkn({cert.k},{cert.n})")
-            return EXIT_REJECT
-        ok, witness = verify_distinguishing(cert.k, cert.n, cert)
-        detail = "" if ok else f"fails on member {witness}"
-
-    if ok:
-        print(f"accept {kind} certificate" + (f" ({detail})" if detail else ""))
-        return EXIT_OK
-    print(f"reject {kind} certificate" + (f" ({detail})" if detail else ""))
-    return EXIT_REJECT
+    if not isinstance(cert, kind.cls):
+        raise MalformedCertificate(f"certificate is not a {args.kind} certificate")
+    if G is None and kind.needs_family:
+        raise MalformedCertificate(f"{args.kind} certificates need a set family input")
+    ok, detail = kind.check(G, G.poset if G is not None else poset, cert)
+    if ok is None:
+        print(f"reject: {detail}")
+    else:
+        print(f"{'accept' if ok else 'reject'} {args.kind} certificate"
+              + (f" ({detail})" if detail else ""))
+    return EXIT_OK if ok else EXIT_REJECT
 
 
 def _cmd_theorems(args) -> int:
@@ -193,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="verify a certificate file")
     v.add_argument("input")
     v.add_argument("certificate")
-    v.add_argument("--kind", required=True, choices=list(KINDS))
+    v.add_argument("--kind", required=True,
+                   choices=list(serialize.CERTIFICATE_KINDS))
     v.set_defaults(func=_cmd_verify)
 
     t = sub.add_parser("theorems", help="run the theorem suite")

@@ -102,27 +102,6 @@ class ConvexGeometry:
     def member_index(self, mask: int) -> int:
         return self.family.index[mask]
 
-    def _require_member(self, mask: int) -> None:
-        if mask not in self.family.index:
-            raise ParamRange(f"{mask_to_set(mask)} is not a member of the family")
-
-    def meet(self, a: int, b: int) -> int:
-        """Meet of two member masks: plain intersection."""
-        self._require_member(a)
-        self._require_member(b)
-        return a & b
-
-    def join(self, a: int, b: int) -> int:
-        """Join of two member masks: least member containing their union."""
-        self._require_member(a)
-        self._require_member(b)
-        union = a | b
-        out = (1 << self.ground_n) - 1
-        for c in self.masks:
-            if union & ~c == 0:
-                out &= c
-        return out
-
     def upper_cover(self, i: int) -> int:
         """The unique poset index covering meet-irreducible i."""
         above = self.poset.cover_succ[i]

@@ -3,7 +3,8 @@ export of Hasse diagrams.
 
 Every artifact carries a schema tag. Serialization is deterministic: keys are
 sorted and no volatile data (timings, hostnames) is written, so identical
-inputs produce byte-identical files.
+inputs produce byte-identical files. CERTIFICATE_KINDS holds one record per
+certificate kind, which the writer, the reader and `ordim verify` all read.
 """
 
 from __future__ import annotations
@@ -11,27 +12,19 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .certificates import (BooleanRealizer, FractionalRealizer, LocalRealizer,
-                           Realizer)
-from .dimensions import DimensionReport, DistinguishingSequence
+                           Realizer, verify_boolean_realizer,
+                           verify_fractional_realizer, verify_local_realizer,
+                           verify_realizer)
+from .constructions import is_pkn
+from .dimensions import (DimensionReport, DistinguishingSequence,
+                         verify_distinguishing)
 from .errors import MalformedCertificate
-from .geometry import ConvexGeometry, ConvexRealizer, SetFamily, set_label
+from .geometry import (ConvexGeometry, ConvexRealizer, SetFamily, set_label,
+                       verify_convex_realizer)
 from .order import Poset, poset_from_relation
-
-SCHEMAS = {
-    "setfamily": "ordim/setfamily/1",
-    "setfamilies": "ordim/setfamilies/1",
-    "poset": "ordim/poset/1",
-    "report": "ordim/report/1",
-    "realizer": "ordim/certificate/realizer/1",
-    "convex": "ordim/certificate/convex/1",
-    "local": "ordim/certificate/local/1",
-    "boolean": "ordim/certificate/boolean/1",
-    "fractional": "ordim/certificate/fractional/1",
-    "distinguishing": "ordim/certificate/distinguishing/1",
-}
 
 
 @contextmanager
@@ -118,6 +111,16 @@ def _marks(seq, t: int) -> int:
     return mask
 
 
+def _tau(seq) -> frozenset:
+    """A list of distinct strings, as a set. frozenset() alone would read a
+    string or an object as its characters or keys, and merge repeats."""
+    if (type(seq) is not list or not {str}.issuperset(map(type, seq))
+            or len(set(seq)) != len(seq)):
+        raise MalformedCertificate(
+            f"malformed tau {seq!r}: not a list of distinct strings")
+    return frozenset(seq)
+
+
 def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
@@ -199,53 +202,99 @@ def load_document(path: str):
 # ---------------------------------------------------------------------------
 # certificates
 
+class CertificateKind(NamedTuple):
+    """write maps a certificate to its payload (the document less its schema
+    tag), read maps a document back, and check maps (geometry or None, poset,
+    certificate) to (verdict, detail). A verdict of None refuses the input
+    itself, before the certificate is checked; detail says why."""
+    cls: type
+    write: Callable
+    read: Callable
+    check: Callable
+    needs_family: bool = False
+
+
+def _labelled(label: str, ok: bool, value) -> tuple:
+    return ok, f"{label} {value}"
+
+
+def _check_distinguishing(G, P, seq):
+    if not is_pkn(G.family, seq.k, seq.n):
+        return None, f"input family is not pkn({seq.k},{seq.n})"
+    ok, witness = verify_distinguishing(seq.k, seq.n, seq)
+    return ok, "" if ok else f"fails on member {witness}"
+
+
+def _read_distinguishing(doc) -> DistinguishingSequence:
+    sets = doc["sets"]
+    t = _count(doc["t"], "t", MAX_MARK_BITS // max(len(sets), 1))
+    return DistinguishingSequence(_count(doc["k"], "k"), _count(doc["n"], "n"),
+                                  t, tuple(_marks(marks, t) for marks in sets))
+
+
+# every certificate kind, in `ordim verify --kind` order
+CERTIFICATE_KINDS = {
+    "realizer": CertificateKind(
+        Realizer,
+        lambda c: {"extensions": [list(e) for e in c.extensions]},
+        lambda d: Realizer(tuple(_indices(e) for e in d["extensions"])),
+        lambda G, P, c: (verify_realizer(P, c), "")),
+    "convex": CertificateKind(
+        ConvexRealizer,
+        lambda c: {"perms": [list(p) for p in c.perms]},
+        lambda d: ConvexRealizer(tuple(_indices(p) for p in d["perms"])),
+        lambda G, P, c: (verify_convex_realizer(G, c.perms), ""),
+        needs_family=True),
+    "boolean": CertificateKind(
+        BooleanRealizer,
+        lambda c: {"orders": [list(o) for o in c.orders], "tau": sorted(c.tau)},
+        lambda d: BooleanRealizer(tuple(_indices(o) for o in d["orders"]),
+                                  _tau(d["tau"])),
+        lambda G, P, c: (verify_boolean_realizer(P, c), "")),
+    "local": CertificateKind(
+        LocalRealizer,
+        lambda c: {"ples": [list(p) for p in c.ples]},
+        lambda d: LocalRealizer(tuple(_indices(p) for p in d["ples"])),
+        lambda G, P, c: _labelled("max multiplicity", *verify_local_realizer(P, c))),
+    "fractional": CertificateKind(
+        FractionalRealizer,
+        lambda c: {"weighted": [{"extension": list(e), "weight": str(w)}
+                                for e, w in c.weighted]},
+        lambda d: FractionalRealizer(tuple(
+            (_indices(i["extension"]), _weight(i["weight"])) for i in d["weighted"])),
+        lambda G, P, c: _labelled("total weight", *verify_fractional_realizer(P, c))),
+    "distinguishing": CertificateKind(
+        DistinguishingSequence,
+        lambda c: {"k": c.k, "n": c.n, "t": c.t,
+                   "sets": [list(c.set_of(i)) for i in range(1, c.n + 1)]},
+        _read_distinguishing,
+        _check_distinguishing,
+        needs_family=True),
+}
+# every document's schema tag; a certificate kind's name is the middle
+# segment of its tag
+SCHEMAS = {
+    "setfamily": "ordim/setfamily/1",
+    "setfamilies": "ordim/setfamilies/1",
+    "poset": "ordim/poset/1",
+    "report": "ordim/report/1",
+    **{name: f"ordim/certificate/{name}/1" for name in CERTIFICATE_KINDS},
+}
+
+
 def certificate_to_json(cert) -> dict:
-    if isinstance(cert, Realizer):
-        return {"schema": SCHEMAS["realizer"],
-                "extensions": [list(e) for e in cert.extensions]}
-    if isinstance(cert, ConvexRealizer):
-        return {"schema": SCHEMAS["convex"],
-                "perms": [list(p) for p in cert.perms]}
-    if isinstance(cert, LocalRealizer):
-        return {"schema": SCHEMAS["local"],
-                "ples": [list(p) for p in cert.ples]}
-    if isinstance(cert, BooleanRealizer):
-        return {"schema": SCHEMAS["boolean"],
-                "orders": [list(o) for o in cert.orders],
-                "tau": sorted(cert.tau)}
-    if isinstance(cert, FractionalRealizer):
-        return {"schema": SCHEMAS["fractional"],
-                "weighted": [{"extension": list(e), "weight": str(w)}
-                             for e, w in cert.weighted]}
-    if isinstance(cert, DistinguishingSequence):
-        return {"schema": SCHEMAS["distinguishing"],
-                "k": cert.k, "n": cert.n, "t": cert.t,
-                "sets": [list(cert.set_of(i)) for i in range(1, cert.n + 1)]}
+    for name, kind in CERTIFICATE_KINDS.items():
+        if isinstance(cert, kind.cls):
+            return {"schema": SCHEMAS[name], **kind.write(cert)}
     raise MalformedCertificate(f"unknown certificate object {type(cert)!r}")
 
 
 def certificate_from_json(doc: dict):
     with _shape("certificate"):
         schema = doc.get("schema", "")
-        if schema == SCHEMAS["realizer"]:
-            return Realizer(tuple(_indices(e) for e in doc["extensions"]))
-        if schema == SCHEMAS["convex"]:
-            return ConvexRealizer(tuple(_indices(p) for p in doc["perms"]))
-        if schema == SCHEMAS["local"]:
-            return LocalRealizer(tuple(_indices(p) for p in doc["ples"]))
-        if schema == SCHEMAS["boolean"]:
-            return BooleanRealizer(tuple(_indices(o) for o in doc["orders"]),
-                                   frozenset(doc["tau"]))
-        if schema == SCHEMAS["fractional"]:
-            return FractionalRealizer(tuple(
-                (_indices(item["extension"]), _weight(item["weight"]))
-                for item in doc["weighted"]))
-        if schema == SCHEMAS["distinguishing"]:
-            sets = doc["sets"]
-            t = _count(doc["t"], "t", MAX_MARK_BITS // max(len(sets), 1))
-            return DistinguishingSequence(
-                _count(doc["k"], "k"), _count(doc["n"], "n"), t,
-                tuple(_marks(marks, t) for marks in sets))
+        for name, kind in CERTIFICATE_KINDS.items():
+            if schema == SCHEMAS[name]:
+                return kind.read(doc)
         raise MalformedCertificate(f"unknown certificate schema {schema!r}")
 
 

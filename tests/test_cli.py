@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordim.cli import KINDS, main
+from ordim.cli import main
 from ordim import (binary_distinguishing, dm_dimension, pkn, serialize,
                    verify_fractional_realizer)
 
@@ -79,6 +79,9 @@ ANTICHAIN2_WEIGHTS = ('{"schema": "ordim/certificate/fractional/1", "weighted": 
                       '{"extension": [0, 1], "weight": %s}, '
                       '{"extension": [0, 1], "weight": %s}, '
                       '{"extension": [1, 0], "weight": %s}]}')
+CHAIN2 = {"schema": "ordim/poset/1", "n": 2, "relation": [[0, 1]]}
+CHAIN2_BOOLEAN = {"schema": "ordim/certificate/boolean/1", "orders": [[0, 1]],
+                  "tau": ["1"]}
 P15 = serialize.family_to_json(pkn(1, 5).family)
 # binary_distinguishing(5): t = 3, sets [[1, 2, 3], [2, 3], [1, 3], [1, 2], [3]]
 DIST = serialize.certificate_to_json(binary_distinguishing(5))
@@ -104,6 +107,10 @@ DEEP = "[" * 100_000 + "]" * 100_000
      ["verify", "--kind", "fractional"]),
     (ANTICHAIN2, {"schema": "ordim/certificate/boolean/1", "orders": [[0, 1]],
                   "tau": [1]}, ["verify", "--kind", "boolean"]),
+    # on the 2-chain, frozenset() would read each of these as {"1"} and accept
+    (CHAIN2, dict(CHAIN2_BOOLEAN, tau="11"), ["verify", "--kind", "boolean"]),
+    (CHAIN2, dict(CHAIN2_BOOLEAN, tau={"1": 0}), ["verify", "--kind", "boolean"]),
+    (CHAIN2, dict(CHAIN2_BOOLEAN, tau=["1", "1"]), ["verify", "--kind", "boolean"]),
     (P15, dict(DIST, t=1), ["verify", "--kind", "distinguishing"]),
     (P15, dict(DIST, sets=[[0, 1, 2, 3]] + DIST["sets"][1:]),
      ["verify", "--kind", "distinguishing"]),
@@ -131,7 +138,8 @@ DEEP = "[" * 100_000 + "]" * 100_000
         "non-numeric-weight", "family-without-sets", "infinite-weight",
         "overflowing-weight", "zero-denominator-weight", "realizer-float-entry",
         "realizer-bool-entry", "fractional-float-entry", "number-weights",
-        "bool-weight", "boolean-int-query-string", "marks-above-t",
+        "bool-weight", "boolean-int-query-string", "boolean-tau-string",
+        "boolean-tau-object", "boolean-repeated-query-string", "marks-above-t",
         "mark-zero", "bool-mark", "repeated-mark", "negative-t", "bool-k",
         "bool-ground", "float-ground", "float-poset-size",
         "bool-relation-entry", "bool-set-entry", "deep-input",
@@ -269,10 +277,13 @@ def pinned_certificate(name):
         return LocalRealizer(ples[:1] if name == "local-one" else ples)
     if name.startswith("boolean"):
         cert = boolean_dimension_exact(poset_from_relation(4, [(0, 3), (1, 2)]))[1]
-        return BooleanRealizer(cert.orders, frozenset()) if name == "boolean-no-tau" else cert
+        if name == "boolean-no-tau":
+            return BooleanRealizer(cert.orders, frozenset())
+        return cert
     if name.startswith("fractional"):
         weighted = pkn_fractional_certificate(1, 4).weighted
-        return FractionalRealizer(weighted[1:] if name == "fractional-short" else weighted)
+        return FractionalRealizer(
+            weighted[1:] if name == "fractional-short" else weighted)
     seq = binary_distinguishing(5)
     if name == "distinguishing-reversed":
         return DistinguishingSequence(seq.k, seq.n, seq.t, seq.sets[::-1])
@@ -596,14 +607,15 @@ COMMANDS = st.one_of(
     st.tuples(st.just("compute"), st.sampled_from(
         [[], ["--only", "dim,se"], ["--only", "cdim,fdim"], ["--only", "x"],
          ["--budget", "0"], ["--budget", "3"]])),
-    st.tuples(st.just("verify"), st.sampled_from([None, *sorted(KINDS)])),
+    st.tuples(st.just("verify"),
+              st.sampled_from([None, *sorted(serialize.CERTIFICATE_KINDS)])),
     st.tuples(st.just("export"), st.sampled_from(["dot", "json"])))
 
 
 def own_kind(cert):
     schema = cert.get("schema") if isinstance(cert, dict) else None
-    return next((kind for kind in KINDS if schema == serialize.SCHEMAS[kind]),
-                "realizer")
+    return next((kind for kind in serialize.CERTIFICATE_KINDS
+                 if schema == serialize.SCHEMAS[kind]), "realizer")
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

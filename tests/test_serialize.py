@@ -9,7 +9,7 @@ import pytest
 from ordim import (MalformedCertificate, Realizer, analyze, boolean_algebra,
                    linear_geometry, pkn, poset_from_relation, qn_pn,
                    random_geometry)
-from ordim.certificates import FractionalRealizer
+from ordim.certificates import BooleanRealizer, FractionalRealizer, LocalRealizer
 from ordim.dimensions import DistinguishingSequence, binary_distinguishing
 from ordim.geometry import ConvexRealizer
 from ordim import serialize
@@ -33,6 +33,8 @@ def test_certificate_roundtrips():
     certs = [
         Realizer(((0, 1, 2), (0, 2, 1))),
         ConvexRealizer(((1, 2, 3), (2, 1, 3))),
+        LocalRealizer(((1, 2, 0, 3), (0, 3))),
+        BooleanRealizer(((0, 1, 2), (2, 1, 0)), frozenset({"10", "11"})),
         FractionalRealizer((((0, 1), Fraction(3, 2)),)),
         binary_distinguishing(5),
     ]
