@@ -1,6 +1,8 @@
 """Solvers: order dimension, convex dimension, fractional dimension,
 distinguishing machinery, Boolean dimension, and the aggregate report."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -155,6 +157,34 @@ def test_dim_pkn_search_nodes(n, most):
     assert res.dim == 4
     assert res.nodes <= most
     assert verify_realizer(P, res.realizer)
+
+
+# the whole dim search tree, pinned: nodes visited and the sha256 of the
+# realizer's extensions as JSON. A change to the node loop that keeps the
+# branch order, the cycle tests and the pruning keeps both.
+DIM_SEARCH_TREE = {
+    "pkn(1,8)": (4, 308, "481bb600c4aa91f700c9a11d6412712a06643ca1fc9a734362e980f19485a812"),
+    "pkn(1,9)": (4, 563, "77434243461a8a0ed47e4af3d7f85b841a404a09c86a5d82b425142adfd19ffe"),
+    "pkn(1,10)": (4, 1082, "b0d1fea05cb81895e138f7192a5f40a5406c8b96b20a7608917f6b7b36fd4fba"),
+    "pkn(1,11)": (4, 2221, "e2a3f723f9175438074e9cffbbae4a2edb9abaf06895a73182956a3531469870"),
+    "pkn(1,12)": (4, 7656, "2f28f19ec8f41b2648deb518d95161269b1e3c52413084b5155e948415cbf177"),
+    "pkn(1,13)": (4, 17494, "01b6a2f0a284d0cf431bd6f40c969d4ac6ab18f9c9805ac75b8f119d4d1a1017"),
+    "pkn(2,6)": (5, 69, "2e0a03459f8f8db72259b65963cdec4e094fdfac46797fc6a90eeac51d3927d2"),
+    "pkn(2,7)": (5, 68, "1e330aeb86c0dcb906bd0d66d4d8fea4da95e57fb3cd38d60801fffbe5bb8581"),
+    "pn(4)": (3, 19, "73282f528d5dad8b63f47ccd71ded98cf5cad2d87d45992c75519dec40352606"),
+    "pn(5)": (3, 23, "7f55230b1f104cf086f11482c0e41429a685af4cddab26e2e7a6e88ec6b823a4"),
+    "pn(6)": (3, 27, "c202faf6de9477a2d074f152097487ba6f25f73a01ee0d9dd554642b4a16ee81"),
+}
+
+
+@pytest.mark.parametrize("name", list(DIM_SEARCH_TREE))
+def test_dim_search_tree_pinned(name):
+    kind, args = name[:-1].split("(")
+    ints = [int(v) for v in args.split(",")]
+    G = pkn(*ints) if kind == "pkn" else qn_pn(*ints)[1]
+    res = dm_dimension(G.poset)
+    digest = hashlib.sha256(json.dumps(res.realizer.extensions).encode()).hexdigest()
+    assert (res.dim, res.nodes, digest) == DIM_SEARCH_TREE[name]
 
 
 # ---------------------------------------------------------------------------
