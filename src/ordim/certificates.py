@@ -68,31 +68,25 @@ def is_linear_extension(P: Poset, seq) -> bool:
     return all(pos[x] < pos[y] for x, y in P.covers)
 
 
-def _before_rows(P: Poset, seq):
-    """rows[x] = bitmask of elements at position >= pos(x) in seq (x itself
-    included), i.e. the filter of x in the linear order."""
-    rows = [0] * P.n
-    acc = 0
-    for x in reversed(seq):
-        acc |= 1 << x
-        rows[x] = acc
-    return rows
-
-
 def verify_realizer(P: Poset, cert: Realizer) -> bool:
     """Exact check: x <= y in P iff x is before y in every extension.
 
-    Decided by the meet of the before rows alone: meet[x] == up[x] means
+    Decided by the meet of the before rows alone, the before row of x in
+    an extension being the elements at or after x: meet[x] == up[x] means
     every extension puts every y >= x at or after x, so each extension is
     linear, while a non-linear extension puts some y > x before x and drops
-    y from meet[x]. Raises MalformedCertificate on any extension that is
-    not a permutation, even after one that is not linear."""
+    y from meet[x]. Each extension ANDs its rows into meet as it is walked
+    from the back. Raises MalformedCertificate on any extension that is not
+    a permutation, even after one that is not linear."""
     if not cert.extensions:
         return False
     meet = [(1 << P.n) - 1] * P.n
     for ext in cert.extensions:
         _check_permutation(P, ext)
-        meet = [m & r for m, r in zip(meet, _before_rows(P, ext))]
+        acc = 0
+        for x in reversed(ext):
+            acc |= 1 << x
+            meet[x] &= acc
     return meet == list(P.up)
 
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .certificates import (BooleanRealizer, FractionalRealizer, Realizer,
                            query_string, realizer_from_reversible_classes,
                            verify_boolean_realizer, verify_fractional_realizer,
-                           verify_realizer, _before_rows)
+                           verify_realizer)
 from .constructions import is_pkn, jkn_members, pkn, _check_kn
 from .errors import (BudgetExceeded, InvalidRealizer, MalformedCertificate,
                      MaxTriesExceeded, NotDistinguishing, ParamRange)
@@ -96,27 +96,31 @@ def dm_dimension(P: Poset, budget: Optional[int] = None) -> DimResult:
                 if idx == t:
                     break
             p = order[idx]
+            bit = 1 << p
             u = used[idx]
             top = u + 1 if u < ncolors else ncolors
             row = mutual[p]
             ahead = after[idx + 1]
             while c < top:
-                if not (blocked[c] >> p) & 1:
-                    # the later pairs p's class would block, less those
-                    # another class could still take
-                    dead = ahead & (blocked[c] | row) if max(u, c + 1) == ncolors else 0
-                    for k in range(ncolors):
-                        if not dead:
-                            break
-                        if k != c:
-                            dead &= blocked[k]
+                mine = blocked[c]
+                if not mine & bit:
+                    # once every class is open: the later pairs p's class
+                    # would block, less those another class could still take
+                    dead = 0
+                    if u == ncolors or c + 1 == ncolors:
+                        dead = ahead & (mine | row)
+                        for k, other in enumerate(blocked):
+                            if k != c:
+                                dead &= other
+                                if not dead:
+                                    break
                     if not dead and not _adds_cycle(M, classes[c], p):
                         break
                 c += 1
             if c < top:
                 saved[idx] = blocked[c]
                 blocked[c] |= row
-                classes[c] |= 1 << p
+                classes[c] |= bit
                 picks[idx] = c
                 idx += 1
                 used[idx] = u if c < u else c + 1
@@ -389,10 +393,12 @@ def realizer_to_distinguishing(k: int, n: int, R: Realizer,
     pairs = [(i, G.member_index(1 << (i - 1)), G.member_index((1 << (i - 1)) - 1 | b))
              for i, b in jkn_members(k, n)]
     sets = [0] * n
+    pos = [0] * P.n
     for alpha, ext in enumerate(R.extensions):
-        rows = _before_rows(P, ext)
+        for j, x in enumerate(ext):
+            pos[x] = j
         for i, a_idx, b_idx in pairs:
-            if (rows[b_idx] >> a_idx) & 1:      # singleton after member: reversed
+            if pos[a_idx] > pos[b_idx]:         # singleton after member: reversed
                 sets[i - 1] |= 1 << alpha
     seq = DistinguishingSequence(k, n, len(R.extensions), tuple(sets))
     ok, witness = verify_distinguishing(k, n, seq)

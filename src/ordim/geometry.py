@@ -328,13 +328,38 @@ def linear_geometry_masks(perm: Sequence[int]) -> list:
 
 def verify_convex_realizer(G: ConvexGeometry, perms: Sequence[Sequence[int]]) -> bool:
     """True iff every perm orders 1..n (as ints proper: 1.0 and True are
-    not) and the joined initial-segment families equal the geometry."""
+    not) and the joined initial-segment families equal the geometry.
+
+    Decided on the segments, without forming the join J: J = G iff every
+    initial segment of every perm is a member of G and every
+    meet-irreducible of G is one of those segments.
+    - The segments of one perm form a chain, so the meet of two members of
+      J, taken perm by perm, picks the smaller segment of each: J is
+      intersection-closed. Every segment S is in J (take S from its perm
+      and the ground set from the others).
+    - If J = G, the segments are members. A meet-irreducible M in J is an
+      intersection of segments that are members of G, and a
+      meet-irreducible equal to the meet of two members is one of them, so
+      M is a segment.
+    - Conversely, if the segments are members, J lies inside G, since G is
+      intersection-closed. Every member of G is the meet of the
+      meet-irreducibles above it (the ground set being the empty meet, a
+      segment), and those are segments, so G lies inside J.
+    """
     n = G.ground_n
     if not perms:
         return False
+    index = G.family.index
+    segments = {0}      # the empty segment, a member by the base axiom
     for p in perms:
         if (not all(type(e) is int for e in p)
                 or sorted(p) != list(range(1, n + 1))):
             return False
-    current = _join_masks(linear_geometry_masks(p) for p in perms)
-    return _canonical(current) == G.masks
+        m = 0
+        for e in p:
+            m |= 1 << (e - 1)
+            if m not in index:
+                return False
+            segments.add(m)
+    masks = G.masks
+    return all(masks[i] in segments for i in G.meet_irr)

@@ -121,8 +121,43 @@ def _tau(seq) -> frozenset:
     return frozenset(seq)
 
 
+# the string encoder json uses with ensure_ascii=False (C when available)
+_string = json.encoder.encode_basestring
+
+
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)` plus
+    a newline, byte for byte, for documents whose object keys are strings.
+    With an indent, json falls back to its pure-Python encoder and writes
+    every int of a long list through it; here a list of plain ints, the bulk
+    of a certificate, is one join, and strings go through the C string
+    encoder."""
+    return _dump(obj, "\n") + "\n"
+
+
+def _dump(obj, pad: str) -> str:
+    """obj written as by json.dumps with indent=2, its closing bracket on a
+    line that starts with pad (a newline and the enclosing indent)."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            f"{_string(k)}: {_dump(v, inner)}" for k, v in sorted(obj.items())
+        ) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if all(type(x) is int for x in obj):
+            body = map(str, obj)
+        else:
+            body = (_dump(x, inner) for x in obj)
+        return "[" + inner + ("," + inner).join(body) + pad + "]"
+    if isinstance(obj, str):
+        return _string(obj)
+    return json.dumps(obj)
+
 
 
 def family_to_json(fam: SetFamily, meta: Optional[dict] = None) -> dict:

@@ -271,6 +271,21 @@ def maximal_chains(G):
     return out
 
 
+def convex_realizer_by_join(G, perms):
+    """The definition of a convex realizer: every perm orders 1..n (as ints
+    proper) and the join of their linear geometries, every intersection
+    picking one initial segment of each perm, is the geometry's family."""
+    n = G.ground_n
+    if not perms or any(not all(type(e) is int for e in p)
+                        or sorted(p) != list(range(1, n + 1)) for p in perms):
+        return False
+    join = {(1 << n) - 1}
+    for p in perms:
+        segments = [sum(1 << (e - 1) for e in p[:i]) for i in range(n + 1)]
+        join = {a & s for a in join for s in segments}
+    return sorted(join) == sorted(G.masks)
+
+
 def dm_dimension_unpruned(P):
     """(dim, realizer, nodes) from the order-dimension search with no
     mutual-arc pruning: each class tries a pair by a cycle search alone.

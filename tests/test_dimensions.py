@@ -148,20 +148,11 @@ def test_dim_matches_bruteforce_and_unpruned_search(P):
     assert res.nodes <= nodes
 
 
-@pytest.mark.parametrize("n, most", [(12, 10_000), (13, 25_000)])
-def test_dim_pkn_search_nodes(n, most):
-    # forward checking on the mutual-arc rows: pkn(1,12) took 484,656 nodes
-    # without it, and pkn(1,13) more than 2 M
-    P = pkn(1, n).poset
-    res = dm_dimension(P)
-    assert res.dim == 4
-    assert res.nodes <= most
-    assert verify_realizer(P, res.realizer)
-
-
 # the whole dim search tree, pinned: nodes visited and the sha256 of the
 # realizer's extensions as JSON. A change to the node loop that keeps the
-# branch order, the cycle tests and the pruning keeps both.
+# branch order, the cycle tests and the pruning keeps both. Without forward
+# checking on the mutual-arc rows, pkn(1,12) took 484,656 nodes and
+# pkn(1,13) more than 2 M.
 DIM_SEARCH_TREE = {
     "pkn(1,8)": (4, 308, "481bb600c4aa91f700c9a11d6412712a06643ca1fc9a734362e980f19485a812"),
     "pkn(1,9)": (4, 563, "77434243461a8a0ed47e4af3d7f85b841a404a09c86a5d82b425142adfd19ffe"),
@@ -185,6 +176,7 @@ def test_dim_search_tree_pinned(name):
     res = dm_dimension(G.poset)
     digest = hashlib.sha256(json.dumps(res.realizer.extensions).encode()).hexdigest()
     assert (res.dim, res.nodes, digest) == DIM_SEARCH_TREE[name]
+    assert verify_realizer(G.poset, res.realizer)
 
 
 # ---------------------------------------------------------------------------

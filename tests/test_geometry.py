@@ -2,12 +2,12 @@
 
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from ordim import (AxiomViolation, ConvexGeometry, GroundMismatch, SetFamily,
-                   boolean_algebra, check_boolean_property,
+                   boolean_algebra, check_boolean_property, convex_dimension,
                    critical_pair_of_meet_irreducible, critical_pairs,
                    enumerate_geometries, geometry_critical_pairs,
                    join_geometries, linear_geometry, mask_to_set, pkn,
@@ -17,7 +17,8 @@ from ordim import (AxiomViolation, ConvexGeometry, GroundMismatch, SetFamily,
 from ordim.constructions import jkn
 from ordim.geometry import set_label
 
-from oracles import covers_by_definition, is_chain, maximal_chains
+from oracles import (convex_realizer_by_join, covers_by_definition, is_chain,
+                     maximal_chains)
 
 
 def family(n, *sets):
@@ -475,6 +476,25 @@ def test_convex_realizer_rejects_non_int_entries():
     assert verify_convex_realizer(G, [(1, 2, 3)])
     assert not verify_convex_realizer(G, [(1.0, 2, 3)])
     assert not verify_convex_realizer(G, [(True, 2, 3)])
+
+
+def test_convex_verifier_matches_join_oracle_on_small_domain():
+    # bounded-exhaustive: every geometry on 3 points with every sequence of
+    # 1-3 permutations, every geometry on 4 points with 1-2, plus each
+    # 4-point geometry's own realizer, since random sequences almost always
+    # reject
+    accepts = 0
+    for n, most in ((3, 3), (4, 2)):
+        orders = list(permutations(range(1, n + 1)))
+        sequences = [seq for k in range(1, most + 1)
+                     for seq in product(orders, repeat=k)]
+        for G in enumerate_geometries(n):
+            own = [convex_dimension(G).realizer.perms] if n == 4 else []
+            for perms in sequences + own:
+                verdict = verify_convex_realizer(G, perms)
+                assert verdict == convex_realizer_by_join(G, perms), (G.masks, perms)
+                accepts += verdict
+    assert accepts == 258 + 1085
 
 
 def test_maximal_chain_counts():

@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordim import (MalformedCertificate, Realizer, analyze, boolean_algebra,
                    linear_geometry, pkn, poset_from_relation, qn_pn,
@@ -42,6 +43,27 @@ def test_certificate_roundtrips():
         doc = serialize.certificate_to_json(cert)
         back = serialize.certificate_from_json(json.loads(json.dumps(doc)))
         assert back == cert
+
+
+# strings with quotes, backslashes, control and non-ASCII characters, and
+# any other text
+_texts = st.text(st.sampled_from('a1"\\/\n\t\x00\x1f\x7fé∅€😀\u2028')) | st.text()
+_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+            | st.fractions().map(str) | st.floats() | _texts)
+_documents = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(_texts, inner)
+                   | st.lists(st.integers() | st.booleans())
+                   | st.lists(st.integers()).map(tuple)),
+    max_leaves=40)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_documents)
+def test_dumps_matches_the_standard_library(doc):
+    want = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert serialize.dumps(doc) == want
 
 
 def test_unknown_schema_rejected():
