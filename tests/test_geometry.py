@@ -494,6 +494,7 @@ def test_convex_verifier_matches_join_oracle_on_small_domain():
                 verdict = verify_convex_realizer(G, perms)
                 assert verdict == convex_realizer_by_join(G, perms), (G.masks, perms)
                 accepts += verdict
+    # accepting cases: 258 on 3 points, 1,085 on 4 (485 own realizers)
     assert accepts == 258 + 1085
 
 
