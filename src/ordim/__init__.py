@@ -8,8 +8,8 @@ random instances.
 
 from .errors import (AxiomViolation, BudgetExceeded, CycleError, GroundMismatch,
                      InvalidRealizer, MalformedCertificate, MaxTriesExceeded,
-                     NotDistinguishing, NotMeetIrreducible, OrdimError,
-                     ParamRange, TooManyExtensions)
+                     NotDistinguishing, OrdimError, ParamRange,
+                     TooManyExtensions)
 from .order import (Poset, WidthResult, critical_pairs, downset_lattice,
                     find_standard_example, max_down_degree, poset_from_relation,
                     standard_example_number, width)
@@ -18,10 +18,10 @@ from .certificates import (BooleanRealizer, FractionalRealizer, LocalRealizer,
                            verify_fractional_realizer, verify_local_realizer,
                            verify_realizer)
 from .geometry import (ConvexGeometry, ConvexRealizer, SetFamily,
-                       check_boolean_property, critical_pair_of_meet_irreducible,
-                       geometry_critical_pairs, join_geometries, mask_to_set,
-                       set_to_mask, validate_convex_geometry,
-                       vc_dimension_shattering, verify_convex_realizer)
+                       check_boolean_property, geometry_critical_pairs,
+                       join_geometries, mask_to_set, set_to_mask,
+                       validate_convex_geometry, vc_dimension_shattering,
+                       verify_convex_realizer)
 from .constructions import (boolean_algebra, enumerate_geometries, jkn,
                             linear_geometry, pkn, qn_pn, random_geometry)
 from .dimensions import (DimensionReport, DistinguishingSequence, analyze,

@@ -13,14 +13,14 @@ import os
 import sys
 
 from . import serialize
-from .constructions import (boolean_algebra, enumerate_geometries,
-                            linear_geometry, pkn, qn_pn, random_geometry)
+from .constructions import (enumerate_geometries, linear_geometry,
+                            random_geometry)
 from .dimensions import analyze
 from .errors import (AxiomViolation, BudgetExceeded, MalformedCertificate,
                      OrdimError, ParamRange)
 from .geometry import validate_convex_geometry
-from .suite import (ALL_CHECKS, parse_ints, parse_named, population_enumerate,
-                    population_random, rows_to_json, rows_to_table, run_suite)
+from .suite import (ALL_CHECKS, NAMED_FAMILIES, named_instance, parse_ints,
+                    parse_population, rows_to_json, rows_to_table, run_suite)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -38,31 +38,22 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    kind = args.kind
-    meta = {}
-    if kind == "linear":
-        perm = (parse_ints(args.perm, f"--perm {args.perm}") if args.perm
-                else list(range(1, args.n + 1)))
-        fam = linear_geometry(perm).family
-    elif kind == "boolean":
-        fam = boolean_algebra(args.n).family
-    elif kind == "pkn":
-        if args.k is None:
-            raise ParamRange("pkn needs --k")
-        fam = pkn(args.k, args.n).family
-    elif kind == "pn":
-        fam = qn_pn(args.n)[1].family
-    elif kind == "random":
-        fam = random_geometry(args.n, args.t, args.seed).family
-        meta = {"seed": args.seed, "t": args.t}
-    elif kind == "enumerate":
+    kind, meta = args.kind, None
+    if kind == "enumerate":
         fams = [g.family for g in enumerate_geometries(args.n)]
         doc = serialize.families_to_json(args.n, fams)
-        _write_out(serialize.dumps(doc), args.out)
-        return EXIT_OK
     else:
-        raise ParamRange(f"unknown generator {kind!r}")
-    doc = serialize.family_to_json(fam, meta=meta or None)
+        if kind == "random":
+            G = random_geometry(args.n, args.t, args.seed)
+            meta = {"seed": args.seed, "t": args.t}
+        elif kind == "linear" and args.perm:
+            G = linear_geometry(parse_ints(args.perm, f"--perm {args.perm}"))
+        else:
+            vals = [getattr(args, p) for p in NAMED_FAMILIES[kind].params]
+            if None in vals:    # --n is required, so this is --k
+                raise ParamRange(f"{kind} needs --k")
+            G = named_instance(kind, vals).geometry
+        doc = serialize.family_to_json(G.family, meta=meta)
     _write_out(serialize.dumps(doc), args.out)
     return EXIT_OK
 
@@ -100,20 +91,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_theorems(args) -> int:
-    spec = args.population
-    kind, _, rest = spec.partition(":")
-    if kind == "enumerate":
-        (max_n,) = parse_ints(rest, spec, 1)
-        instances = population_enumerate(max_n)
-    elif kind == "random":
-        n, t, count, seed = parse_ints(rest, spec, 4)
-        instances = population_random(n, t, count, seed)
-    elif kind == "named":
-        instances = parse_named(rest)
-    else:
-        raise ParamRange(f"unknown population {kind!r}")
     checks = args.checks.split(",") if args.checks else list(ALL_CHECKS)
-    rows = run_suite(instances, checks, budget=args.budget)
+    rows = run_suite(parse_population(args.population), checks,
+                     budget=args.budget)
     # machine-readable JSON goes to --out, the aligned table to stdout
     if args.out or args.format == "json":
         _write_out(serialize.dumps(rows_to_json(rows)), args.out)

@@ -34,10 +34,6 @@ class ParamRange(OrdimError):
     """A constructor parameter is outside its documented range."""
 
 
-class NotMeetIrreducible(OrdimError):
-    """The element passed is not meet-irreducible in the lattice."""
-
-
 class MalformedCertificate(OrdimError):
     """A certificate does not have the shape the verifier expects."""
 

@@ -12,8 +12,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .errors import (AxiomViolation, GroundMismatch, NotMeetIrreducible,
-                     ParamRange)
+from .errors import AxiomViolation, GroundMismatch, ParamRange
 from .order import Poset, _bits, _rows
 
 
@@ -101,13 +100,6 @@ class ConvexGeometry:
 
     def member_index(self, mask: int) -> int:
         return self.family.index[mask]
-
-    def upper_cover(self, i: int) -> int:
-        """The unique poset index covering meet-irreducible i."""
-        above = self.poset.cover_succ[i]
-        if len(above) != 1:
-            raise NotMeetIrreducible(f"member {i} has up-degree {len(above)}")
-        return above[0]
 
 
 def validate_convex_geometry(family: SetFamily) -> ConvexGeometry:
@@ -204,39 +196,30 @@ def _join_masks(parts: Iterable[Iterable[int]]) -> set:
     return current
 
 
-def critical_pair_of_meet_irreducible(G: ConvexGeometry, b_index: int):
-    """The pair (A, B) attached to meet-irreducible B.
-
-    With Y the unique cover of B and {alpha} = Y - B, A is the intersection
-    of all members containing alpha. Returns poset indices (a_index, b_index).
-    When A and B are incomparable this is the unique critical pair with
-    second coordinate B; the degenerate outcome A = Y (every member holding
-    alpha already holds all of Y, as on every member of a chain) yields a
-    comparable pair and no critical pair at all.
-    """
-    y = G.upper_cover(b_index)
-    diff = G.masks[y] & ~G.masks[b_index]
-    if diff.bit_count() != 1:
-        raise AssertionError("graded cover should add exactly one element")
-    a_mask = (1 << G.ground_n) - 1
-    for c in G.masks:
-        if c & diff:
-            a_mask &= c
-    return G.member_index(a_mask), b_index
-
-
 def geometry_critical_pairs(G: ConvexGeometry) -> list:
     """All critical pairs of the inclusion poset via the meet-irreducible
     correspondence (far cheaper than the generic definition scan).
 
-    Meet-irreducibles whose attached pair degenerates to a comparable pair
-    are skipped; the rest biject onto the critical pairs.
+    Each meet-irreducible B has one upper cover Y = B + alpha; attach to it
+    A, the intersection of all members containing alpha. The pairs (A, B)
+    with A and B incomparable biject onto the critical pairs. The rest
+    degenerate to A = Y, a comparable pair (every member holding alpha
+    already holds all of Y, as on every member of a chain), and are skipped.
     """
     out = []
+    masks = G.masks
     for b in G.meet_irr:
-        a, bb = critical_pair_of_meet_irreducible(G, b)
-        if G.poset.incomparable(a, bb):
-            out.append((a, bb))
+        (y,) = G.poset.cover_succ[b]
+        diff = masks[y] & ~masks[b]
+        if diff.bit_count() != 1:
+            raise AssertionError("graded cover should add exactly one element")
+        a_mask = (1 << G.ground_n) - 1
+        for c in masks:
+            if c & diff:
+                a_mask &= c
+        a = G.member_index(a_mask)
+        if G.poset.incomparable(a, b):
+            out.append((a, b))
     return sorted(out)
 
 

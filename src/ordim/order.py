@@ -358,23 +358,16 @@ def width(P: Poset, elements: Optional[Sequence[int]] = None) -> WidthResult:
     equal size.
     """
     elems = list(range(P.n)) if elements is None else list(elements)
-    k = len(elems)
-    if k == 0:
+    if not elems:
         return WidthResult(0, (), ())
-    # adj[i]: bitmask of the positions j with elems[i] < elems[j]
-    position = {e: j for j, e in enumerate(elems)}
-    adj = []
-    for e in elems:
-        row = 0
-        for f in _bits(P.up[e] & ~(1 << e)):
-            if f in position:
-                row |= 1 << position[f]
-        adj.append(row)
-    match_right = [-1] * k   # right j -> left i
-    match_left = [-1] * k
+    # adj[e]: the mask of the chosen elements above e
+    sel = sum(1 << e for e in elems)
+    adj = {e: P.up[e] & sel & ~(1 << e) for e in elems}
+    match_right = [-1] * P.n   # right j -> left i
+    match_left = [-1] * P.n
 
     size = 0
-    for root in range(k):
+    for root in elems:
         # depth-first search for an augmenting path on an explicit stack,
         # lowest unseen right vertex first: lefts is the path of left
         # vertices, rights the right vertex taken out of each but the last
@@ -399,32 +392,26 @@ def width(P: Poset, elements: Optional[Sequence[int]] = None) -> WidthResult:
                 break
             lefts.append(i)
     # chains: follow matched successor links from unmatched-as-right elements
-    starts = [j for j in range(k) if match_right[j] == -1]
     chains = []
-    for s in starts:
-        chain = [s]
-        while match_left[chain[-1]] != -1:
-            chain.append(match_left[chain[-1]])
-        chains.append(tuple(elems[i] for i in chain))
+    for s in elems:
+        if match_right[s] == -1:
+            chain = [s]
+            while match_left[chain[-1]] != -1:
+                chain.append(match_left[chain[-1]])
+            chains.append(tuple(chain))
     # Koenig: minimum vertex cover from alternating reachability off unmatched lefts
-    free_left = [i for i in range(k) if match_left[i] == -1]
-    seen_l = [False] * k
-    seen_r = [False] * k
-    stack = list(free_left)
-    for i in stack:
-        seen_l[i] = True
+    stack = [i for i in elems if match_left[i] == -1]
+    seen_l, seen_r = sum(1 << i for i in stack), 0
     while stack:
-        i = stack.pop()
-        for j in _bits(adj[i]):
-            if not seen_r[j]:
-                seen_r[j] = True
-                i2 = match_right[j]
-                if i2 != -1 and not seen_l[i2]:
-                    seen_l[i2] = True
-                    stack.append(i2)
+        for j in _bits(adj[stack.pop()] & ~seen_r):
+            seen_r |= 1 << j
+            i2 = match_right[j]
+            if i2 != -1 and not seen_l >> i2 & 1:
+                seen_l |= 1 << i2
+                stack.append(i2)
     # cover = unreached lefts + reached rights; antichain = elements outside cover
-    antichain = tuple(elems[i] for i in range(k) if seen_l[i] and not seen_r[i])
-    w = k - size
+    antichain = tuple(e for e in elems if (seen_l & ~seen_r) >> e & 1)
+    w = len(elems) - size
     if len(antichain) != w or len(chains) != w:
         raise AssertionError("Dilworth certificate mismatch")
     return WidthResult(w, tuple(chains), antichain)

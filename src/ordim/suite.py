@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
-from .constructions import (boolean_algebra, enumerate_geometries, jkn,
+from .constructions import (_check_enumerable, _check_random,
+                            boolean_algebra, enumerate_geometries, jkn,
                             linear_geometry, pkn, pkn_member, qn_pn,
                             random_geometry)
 from .dimensions import DimensionReport, analyze
@@ -26,7 +27,7 @@ FAMILY_CHECKS = ("T1.1", "T1.5", "Prop8.x")
 ALL_CHECKS = UNIVERSAL_CHECKS + FAMILY_CHECKS
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckRow:
     instance: str
     check: str
@@ -153,18 +154,26 @@ def run_instance(inst: Instance, checks: Sequence[str],
 # ---------------------------------------------------------------------------
 # populations
 
-def population_enumerate(max_n: int) -> List[Instance]:
-    out = []
-    for n in range(1, max_n + 1):
-        for i, g in enumerate(enumerate_geometries(n)):
-            out.append(Instance(f"enum{n}#{i}", g, "generic"))
-    return out
+@dataclass(frozen=True)
+class NamedFamily:
+    params: tuple              # parameter names, in spec order
+    build: Callable[..., ConvexGeometry]
+    kind: str                  # the Instance kind
 
 
-def population_random(n: int, t: int, count: int, seed: int) -> List[Instance]:
-    return [Instance(f"random{n}x{t}#s{seed + i}",
-                     random_geometry(n, t, seed + i), "generic")
-            for i in range(count)]
+NAMED_FAMILIES = {
+    "pkn": NamedFamily(("k", "n"), pkn, "pkn"),
+    "pn": NamedFamily(("n",), lambda n: qn_pn(n)[1], "pn"),
+    "boolean": NamedFamily(("n",), boolean_algebra, "generic"),
+    "linear": NamedFamily(("n",), lambda n: linear_geometry(range(1, n + 1)),
+                          "generic"),
+}
+
+
+def named_instance(name: str, vals: Sequence[int]) -> Instance:
+    fam = NAMED_FAMILIES[name]
+    return Instance(f"{name}({','.join(map(str, vals))})", fam.build(*vals),
+                    fam.kind, tuple(vals))
 
 
 def parse_ints(text: str, spec: str, count: Optional[int] = None) -> List[int]:
@@ -184,37 +193,48 @@ def parse_ints(text: str, spec: str, count: Optional[int] = None) -> List[int]:
     return vals
 
 
-_NAMED_ARITY = {"pkn": 2, "pn": 1, "boolean": 1, "linear": 1}
-
-
 def parse_named(spec: str) -> List[Instance]:
-    """Parse 'pkn=1,5;pn=3;boolean=3;linear=4' into instances."""
+    """Parse 'pkn=1,5;pn=3;boolean=3;linear=4' into instances, built in
+    spec order, so the first bad part is the one refused."""
     out = []
     for part in spec.split(";"):
         part = part.strip()
         if not part:
             continue
         name, _, args = part.partition("=")
-        if name not in _NAMED_ARITY:
+        if name not in NAMED_FAMILIES:
             raise ParamRange(f"unknown named instance {name!r}")
-        vals = parse_ints(args, part, _NAMED_ARITY[name])
-        if name == "pkn":
-            k, n = vals
-            out.append(Instance(f"pkn({k},{n})", pkn(k, n), "pkn", (k, n)))
-        elif name == "pn":
-            (n,) = vals
-            out.append(Instance(f"pn({n})", qn_pn(n)[1], "pn", (n,)))
-        elif name == "boolean":
-            (n,) = vals
-            out.append(Instance(f"boolean({n})", boolean_algebra(n), "generic"))
-        else:
-            (n,) = vals
-            out.append(Instance(f"linear({n})",
-                                linear_geometry(tuple(range(1, n + 1))), "generic"))
+        vals = parse_ints(args, part, len(NAMED_FAMILIES[name].params))
+        out.append(named_instance(name, vals))
     return out
 
 
-def run_suite(instances: Sequence[Instance], checks: Sequence[str],
+def parse_population(spec: str) -> Iterable[Instance]:
+    """Parse 'enumerate:N', 'random:n,t,count,seed' or 'named:...'.
+
+    Every number is checked here; enumerated and random geometries are
+    then built one at a time as the result is iterated, so each can be
+    dropped once its rows are built.
+    """
+    kind, _, rest = spec.partition(":")
+    if kind == "enumerate":
+        (max_n,) = parse_ints(rest, spec, 1)
+        _check_enumerable(max_n)
+        return (Instance(f"enum{n}#{i}", g, "generic")
+                for n in range(1, max_n + 1)
+                for i, g in enumerate(enumerate_geometries(n)))
+    if kind == "random":
+        n, t, count, seed = parse_ints(rest, spec, 4)
+        _check_random(n, t)
+        return (Instance(f"random{n}x{t}#s{seed + i}",
+                         random_geometry(n, t, seed + i), "generic")
+                for i in range(count))
+    if kind == "named":
+        return parse_named(rest)
+    raise ParamRange(f"unknown population {kind!r}")
+
+
+def run_suite(instances: Iterable[Instance], checks: Sequence[str],
               budget: Optional[int] = None) -> List[CheckRow]:
     for c in checks:
         if c not in ALL_CHECKS:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordim.cli import main
-from ordim import (binary_distinguishing, dm_dimension, pkn, serialize,
+from ordim import (binary_distinguishing, dm_dimension, pkn, serialize, suite,
                    verify_fractional_realizer)
 
 
@@ -46,6 +46,33 @@ def test_gen_boolean_and_pn(tmp_path):
     rep = tmp_path / "pn3rep.json"
     assert run(["compute", str(out), "--only", "dim,cdim", "--out", str(rep)]) == 0
     assert read_json(rep)["params"] == {"dim": 3, "cdim": 4}
+
+
+@pytest.mark.parametrize("name", sorted(suite.NAMED_FAMILIES))
+def test_gen_and_named_read_one_table(tmp_path, name):
+    vals = {"k": 1, "n": 5}
+    params = suite.NAMED_FAMILIES[name].params
+    out = tmp_path / f"{name}.json"
+    argv = ["gen", name, "--out", str(out)]
+    for p in params:
+        argv += [f"--{p}", str(vals[p])]
+    assert run(argv) == 0
+    spec = f"{name}={','.join(str(vals[p]) for p in params)}"
+    (inst,) = suite.parse_named(spec)
+    assert inst.name == f"{name}({','.join(str(vals[p]) for p in params)})"
+    assert read_json(out) == serialize.family_to_json(inst.geometry.family)
+
+
+def test_theorems_enumerate_beyond_5_refused_at_once(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(suite, "enumerate_geometries",
+                        lambda n: calls.append(n) or iter(()))
+    assert run(["theorems", "--population", "enumerate:6"]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert run(["gen", "enumerate", "--n", "6"]) == 2
+    assert err == capsys.readouterr().err == (
+        "error: enumeration supports 1 <= n <= 5\n")
 
 
 def test_compute_only_cdim_chain(tmp_path):

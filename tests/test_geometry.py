@@ -8,8 +8,7 @@ import pytest
 
 from ordim import (AxiomViolation, ConvexGeometry, GroundMismatch, SetFamily,
                    boolean_algebra, check_boolean_property, convex_dimension,
-                   critical_pair_of_meet_irreducible, critical_pairs,
-                   enumerate_geometries, geometry_critical_pairs,
+                   critical_pairs, enumerate_geometries, geometry_critical_pairs,
                    join_geometries, linear_geometry, mask_to_set, pkn,
                    poset_from_relation, qn_pn, random_geometry, set_to_mask,
                    validate_convex_geometry, vc_dimension_shattering,
@@ -243,18 +242,22 @@ def test_chain_geometry_meet_irreducibles():
     assert G.meet_irr == tuple(range(len(G.family) - 1))
 
 
-def test_critical_pair_of_meet_irreducible_boolean():
+def test_geometry_critical_pairs_boolean_and_chain():
+    # each 2-set of boolean(3) is meet-irreducible and pairs with the
+    # singleton of the element outside it
     G = boolean_algebra(3)
-    b = G.member_index(set_to_mask([1, 2]))
-    a, bb = critical_pair_of_meet_irreducible(G, b)
-    assert G.masks[a] == set_to_mask([3]) and bb == b
+    idx = lambda *s: G.member_index(set_to_mask(s))
+    assert geometry_critical_pairs(G) == sorted(
+        [(idx(3), idx(1, 2)), (idx(2), idx(1, 3)), (idx(1), idx(2, 3))])
+    # on a chain every attached pair is comparable, so none is critical
+    assert geometry_critical_pairs(linear_geometry((1, 2, 3))) == []
 
 
 def test_chain_correspondence_degenerates():
+    # every member of a chain below the top is meet-irreducible, and no
+    # two members are incomparable
     G = linear_geometry((1, 2, 3))
-    for b in G.meet_irr:
-        a, bb = critical_pair_of_meet_irreducible(G, b)
-        assert G.poset.leq(bb, a)          # comparable: covers, not critical
+    assert len(G.meet_irr) == 3 and critical_pairs(G.poset) == []
     assert geometry_critical_pairs(G) == []
 
 

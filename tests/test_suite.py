@@ -1,20 +1,27 @@
 """Theorem suite engine: populations, checks, reporting."""
 
 from ordim import boolean_algebra
-from ordim.suite import (Instance, parse_named, population_enumerate,
-                         population_random, rows_to_json, rows_to_table,
-                         run_suite, UNIVERSAL_CHECKS)
+from ordim.suite import (Instance, parse_named, parse_population,
+                         rows_to_json, rows_to_table, run_suite,
+                         UNIVERSAL_CHECKS)
 
 
 def test_enumerate_population_all_pass():
-    instances = population_enumerate(3)
+    instances = list(parse_population("enumerate:3"))
     assert len(instances) == 1 + 3 + 22
     rows = run_suite(instances, list(UNIVERSAL_CHECKS))
     assert all(r.passed is not False for r in rows)
 
 
+def test_enumerate_population_is_lazy():
+    # the first instance comes before any 5-point geometry is enumerated
+    first = next(iter(parse_population("enumerate:5")))
+    assert first.name == "enum1#0" and first.geometry.masks == (0, 1)
+
+
 def test_random_population_all_pass():
-    instances = population_random(5, 3, 25, seed=100)
+    instances = list(parse_population("random:5,3,25,100"))
+    assert len(instances) == 25
     rows = run_suite(instances, list(UNIVERSAL_CHECKS))
     assert all(r.passed is not False for r in rows)
 
