@@ -81,11 +81,12 @@ def verify_realizer(P: Poset, cert: Realizer) -> bool:
     if not cert.extensions:
         return False
     meet = [(1 << P.n) - 1] * P.n
+    bit = [1 << x for x in range(P.n)]
     for ext in cert.extensions:
         _check_permutation(P, ext)
         acc = 0
         for x in reversed(ext):
-            acc |= 1 << x
+            acc |= bit[x]
             meet[x] &= acc
     return meet == list(P.up)
 

@@ -238,7 +238,9 @@ def fractional_dimension(P: Poset, budget: Optional[int] = None) -> FdimResult:
                           (), (), 0)
     t = len(rows)
     nodes = 0
-    lower = Fraction(0)
+    # the best Farley bound as the pair (numerator, denominator), compared
+    # by cross-multiplication
+    lower_num, lower_den = 0, 1
     patterns = []
     witnesses = []
     covered = 0
@@ -269,12 +271,15 @@ def fractional_dimension(P: Poset, budget: Optional[int] = None) -> FdimResult:
             M, mutual, weights, None if budget is None else budget - nodes)
         nodes += used
         # Farley: y divided by the largest price is dual feasible
-        lower = max(lower, Fraction(sum(weights), price))
+        total = sum(weights)
+        if total * lower_den > lower_num * price:
+            lower_num, lower_den = total, price
         if members is None:
             opt, _, f = lp.solution()
             raise BudgetExceeded(
                 f"fractional dimension pricing exceeded {budget} nodes",
-                lower=lower, upper=opt, partial=_weighted(witnesses, f))
+                lower=Fraction(lower_num, lower_den), upper=opt,
+                partial=_weighted(witnesses, f))
         if price <= lp.D:
             break
         ext = extend_reversing(P, [rows[q] for q in _bits(members)])

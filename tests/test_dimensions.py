@@ -27,7 +27,7 @@ from ordim import dimensions
 from ordim.constructions import jkn
 from ordim.dimensions import DimensionReport, DistinguishingSequence
 from ordim.order import extend_reversing
-from ordim.serialize import report_to_json
+from ordim.serialize import certificate_to_json, dumps, report_to_json
 
 from oracles import (bdim_bruteforce, dm_dimension_unpruned, fdim_bruteforce,
                      is_reversible, linear_extensions, se_bruteforce)
@@ -365,6 +365,38 @@ def test_fdim_seeds_skip_pairs_already_reversed(monkeypatch):
     assert calls[0] <= 19 * t
 
 
+# fdim column generation pinned: (fdim, rounds, pricing nodes, pivots,
+# sha256 of the fractional certificate's JSON text). A faster LP or pricing
+# search that keeps its pivot rules and search order leaves all five as
+# they are.
+FDIM_COLUMN_GENERATION = {
+    "pkn(1,5)": (Fraction(5, 2), 13, 97, 23, "f4207ba785a48e0de3e4f0e02311cca1a75003dc713e71a137fc442370d8fc33"),
+    "pkn(1,6)": (Fraction(8, 3), 26, 422, 89, "0c58b2e1576011d50e59925de41091eceea867fb00e94aba739bb5e51fd53669"),
+    "pkn(1,7)": (Fraction(11, 4), 47, 1460, 249, "94f8d724ab3c47ea9e51c2242fada9098636cecb541f6343de89dce7bcffd158"),
+    "pkn(1,8)": (Fraction(37, 13), 61, 4243, 596, "a2ac2058db8130d9dc4a58a6dec6540b32b627a0fdc47f4aa6b00363fdbc8b37"),
+    "pkn(1,10)": (Fraction(92, 31), 97, 31013, 1878, "e0d8bdd13a187c799449366c3d8668873d87cc048de6d4296ccaf1efc7e481d2"),
+    "pkn(2,6)": (Fraction(23, 6), 22, 284, 42, "b24337d1ea4d7885b10cff5c9a205ae7346f752deb272220c3148fbb5ef675f6"),
+    "pn(4)": (3, 1, 3, 4, "6b6de8cf7098159c56d8a0fe4b7a666f805194f1eb62e8212a1288d5f81fb416"),
+    "pn(5)": (3, 1, 3, 4, "8fe29c070d134b1a1009af80daa263267f56e206cd2a40c33cdd5691ddb0de73"),
+    "antichain(19)": (2, 2, 21, 21, "54b405ab4c81212f15c2bb9bb53813e9098101f8e33bf3e3812c543a43759f48"),
+}
+
+
+@pytest.mark.parametrize("name", list(FDIM_COLUMN_GENERATION))
+def test_fdim_column_generation_pinned(name):
+    kind, args = name[:-1].split("(")
+    ints = [int(v) for v in args.split(",")]
+    if kind == "antichain":
+        P = antichain(*ints)
+    else:
+        P = (pkn(*ints) if kind == "pkn" else qn_pn(*ints)[1]).poset
+    res = fractional_dimension(P)
+    digest = hashlib.sha256(
+        dumps(certificate_to_json(res.realizer)).encode()).hexdigest()
+    assert (res.fdim, res.iterations, res.nodes, res.pivots,
+            digest) == FDIM_COLUMN_GENERATION[name]
+
+
 def test_fdim_budget_gives_sound_interval():
     # pricing nodes count against the budget over all rounds: exactly the
     # nodes a full solve takes are enough, and any fewer give proved bounds
@@ -372,11 +404,19 @@ def test_fdim_budget_gives_sound_interval():
     full = fractional_dimension(P)
     assert full.fdim == Fraction(11, 4)
     assert fractional_dimension(P, budget=full.nodes).fdim == full.fdim
-    for budget in (0, full.nodes // 10, full.nodes // 2, full.nodes - 1):
+    # the exact intervals: the best Farley bound so far, and the restricted
+    # LP's optimum
+    intervals = {0: (1, 6), 146: (Fraction(21, 10), Fraction(7, 2)),
+                 730: (Fraction(1931, 804), Fraction(85, 29)),
+                 1459: (Fraction(5, 2), Fraction(11, 4))}
+    assert sorted(intervals) == [0, full.nodes // 10, full.nodes // 2,
+                                 full.nodes - 1]
+    for budget, interval in intervals.items():
         with pytest.raises(BudgetExceeded) as info:
             fractional_dimension(P, budget=budget)
         exc = info.value
         assert 1 <= exc.lower <= full.fdim <= exc.upper
+        assert (exc.lower, exc.upper) == interval
         # the restricted LP's primal is a fractional realizer of weight upper
         assert verify_fractional_realizer(P, exc.partial) == (True, exc.upper)
 

@@ -60,6 +60,44 @@ def test_duality_gap_zero_random():
         # primal feasibility rechecked by the solver itself
 
 
+def test_check_rejects_a_broken_certificate():
+    # each of the four conditions on its own: y >= 0, f >= 0, equal sums,
+    # and every row covered by the weighted columns
+    cols = [0b00101, 0b01010, 0b10100, 0b01001, 0b10010]
+
+    def broken(edit):
+        lp = CoveringLP(cols, 5)
+        edit(lp)
+        with pytest.raises(ArithmeticError) as info:
+            lp._check()
+        return str(info.value)
+
+    optimal = CoveringLP(cols, 5)
+    slacks = [k for k, label in enumerate(optimal.nonbasic) if label >= 5]
+    y_rows = [i for i, b in enumerate(optimal.basis) if b < 5]
+    assert slacks and y_rows
+
+    def negative_y(lp):
+        lp.T[y_rows[0]][-1] = -1
+
+    def negative_f(lp):
+        lp.T[-1][slacks[0]] = -lp.D
+
+    def unequal_sums(lp):
+        lp.T[y_rows[0]][-1] += 1
+
+    def nothing_covered(lp):
+        for k in slacks:
+            lp.T[-1][k] = 0
+        for i in y_rows:
+            lp.T[i][-1] = 0
+
+    assert "feasible" in broken(negative_y)
+    assert "feasible" in broken(negative_f)
+    assert "mismatch" in broken(unequal_sums)
+    assert "uncovered" in broken(nothing_covered)
+
+
 # --- reference oracle: the same Bland pivots on a dense Fraction tableau ----
 
 def _reference_solve_covering(columns, nrows, added=()):
