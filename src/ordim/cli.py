@@ -40,8 +40,8 @@ def _write_out(text: str, out: str | None) -> None:
 def _cmd_gen(args) -> int:
     kind, meta = args.kind, None
     if kind == "enumerate":
-        fams = [g.family for g in enumerate_geometries(args.n)]
-        doc = serialize.families_to_json(args.n, fams)
+        doc = serialize.families_to_json(
+            args.n, (g.family for g in enumerate_geometries(args.n)))
     else:
         if kind == "random":
             G = random_geometry(args.n, args.t, args.seed)

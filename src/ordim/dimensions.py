@@ -8,8 +8,9 @@ LP with column generation priced by a branch and bound over reversible
 sets of critical pairs. `dim`, `se` and `fdim` read their pairs and pair
 relations from the poset's cached `Poset.pair_data`, for posets and
 geometries alike: extensions reversing every critical pair reverse every
-incomparable pair (Trotter 1992). Every returned number carries a
-certificate its verifier accepts; one that fails raises AssertionError.
+incomparable pair (Trotter 1992). The rows are shared by element, and a
+mutual row `M[p] & below[p]` is formed where it is used. Each returned
+number's certificate is verified; a failed check raises AssertionError.
 """
 
 from __future__ import annotations
@@ -65,16 +66,13 @@ def dm_dimension(P: Poset, budget: Optional[int] = None) -> DimResult:
     counts search tree nodes; exceeding it raises BudgetExceeded with the
     bounds proven so far.
     """
-    pairs, M, mutual, _ = P.pair_data
+    pairs, M, below, _, _ = P.pair_data
     if not pairs:
         ext = extend_reversing(P, [])
         return DimResult(1, Realizer((ext,)), 0)
     t = len(pairs)
-    clique = len(_clique(mutual, t))
-    order = sorted(range(t), key=lambda p: (-mutual[p].bit_count(), p))
-    after = [0] * (t + 1)       # after[i]: the pairs order[i:]
-    for i in range(t - 1, -1, -1):
-        after[i] = after[i + 1] | 1 << order[i]
+    clique = len(_clique(M, below, t))
+    order = sorted(range(t), key=lambda p: (-(M[p] & below[p]).bit_count(), p))
     nodes = 0
     for ncolors in range(max(2, clique), t + 1):
         # depth-first on an explicit stack: picks[i] is the class of pair
@@ -99,16 +97,16 @@ def dm_dimension(P: Poset, budget: Optional[int] = None) -> DimResult:
             bit = 1 << p
             u = used[idx]
             top = u + 1 if u < ncolors else ncolors
-            row = mutual[p]
-            ahead = after[idx + 1]
+            row = M[p] & below[p]
             while c < top:
                 mine = blocked[c]
                 if not mine & bit:
-                    # once every class is open: the later pairs p's class
-                    # would block, less those another class could still take
+                    # once every class is open: the pairs p's class would
+                    # block, less those another class could take (a placed
+                    # pair is never blocked in its own, so none is left)
                     dead = 0
                     if u == ncolors or c + 1 == ncolors:
-                        dead = ahead & (mine | row)
+                        dead = mine | row
                         for k, other in enumerate(blocked):
                             if k != c:
                                 dead &= other
@@ -230,7 +228,7 @@ def fractional_dimension(P: Poset, budget: Optional[int] = None) -> FdimResult:
     best Farley bound opt / v, with v the largest price a round found, or,
     for the interrupted round, an upper bound on it.
     """
-    rows, M, mutual, _ = P.pair_data
+    rows, M, below, _, _ = P.pair_data
     if not rows:
         ext = extend_reversing(P, [])
         return FdimResult(Fraction(1),
@@ -249,11 +247,11 @@ def fractional_dimension(P: Poset, budget: Optional[int] = None) -> FdimResult:
     for p in range(t):
         if (covered >> p) & 1:
             continue
-        members, blocked = 1 << p, mutual[p]
+        members, blocked = 1 << p, M[p] & below[p]
         for q in range(t):
             if q != p and not (blocked >> q) & 1 and not _adds_cycle(M, members, q):
                 members |= 1 << q
-                blocked |= mutual[q]
+                blocked |= M[q] & below[q]
         ext = extend_reversing(P, [rows[q] for q in _bits(members)])
         pat = _reversal_pattern(ext, rows)
         covered |= pat
@@ -268,7 +266,7 @@ def fractional_dimension(P: Poset, budget: Optional[int] = None) -> FdimResult:
         # pricing search's choices unchanged
         weights = lp.duals()
         price, members, used = _heaviest_reversible(
-            M, mutual, weights, None if budget is None else budget - nodes)
+            M, below, weights, None if budget is None else budget - nodes)
         nodes += used
         # Farley: y divided by the largest price is dual feasible
         total = sum(weights)

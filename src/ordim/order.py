@@ -74,7 +74,7 @@ class Poset:
 
     @cached_property
     def pair_data(self) -> tuple:
-        """(pairs, arcs, mutual, legs): `critical_pairs` and their
+        """(pairs, arcs, below, sarcs, sbelow): `critical_pairs` and their
         `pair_relations`, as tuples, computed once for dim, se and fdim."""
         pairs = tuple(critical_pairs(self))
         return (pairs, *map(tuple, pair_relations(self, pairs)))
@@ -199,22 +199,23 @@ def critical_pairs(P: Poset):
 # reversibility of incomparable-pair sets
 
 def pair_relations(P: Poset, pairs: Sequence):
-    """Rows (arcs, mutual, legs) over pair indices, one bitmask per pair.
+    """Rows (arcs, below, sarcs, sbelow) over pair indices, one list each.
 
-    arcs[p] holds q iff q != p and a_p <= b_q: the pair digraph. mutual[p]
-    holds q iff the arcs run both ways, so no extension reverses both.
-    legs[p] is mutual[p] less the pairs sharing an element with p. For
-    incomparable pairs that is exactly the q making p, q two legs of an
-    induced standard example (a_p < b_q, a_q < b_p, a_p || a_q, b_p || b_q),
-    as mutual arcs force both incomparabilities (Trotter 1992):
-      a_p <= a_q gives a_p <= a_q <= b_p,
-      a_q <= a_p gives a_q <= a_p <= b_q,
-      b_p <= b_q gives a_q <= b_p <= b_q,
-      b_q <= b_p gives a_p <= b_q <= b_p,
+    arcs[p] holds q iff a_p <= b_q: the pair digraph. below[p] holds q iff
+    a_q <= b_p, so arcs[p] & below[p] are p's mutual arcs, the q no
+    extension reverses together with p. sarcs and sbelow are the same with
+    a_p < b_q and a_q < b_p, and for incomparable pairs sarcs[p] & sbelow[p]
+    are exactly the q making p, q two legs of an induced standard example
+    (a_p < b_q, a_q < b_p, a_p || a_q, b_p || b_q), as the strict arcs force
+    both incomparabilities, and so four distinct elements (Trotter 1992):
+      a_p <= a_q gives a_p <= a_q < b_p,
+      a_q <= a_p gives a_q <= a_p < b_q,
+      b_p <= b_q gives a_q < b_p <= b_q,
+      b_q <= b_p gives a_p < b_q <= b_p,
     each against a_p || b_p or a_q || b_q.
 
-    Row p depends on a_p and b_p alone, so the pairs are grouped by each
-    coordinate and every distinct a is compared with every distinct b once.
+    Row p depends on a_p or b_p alone: each distinct a is compared with each
+    distinct b once, and the pairs on one element share its row object.
     """
     bya, byb = {}, {}          # bya[a]: the q with a_q = a; byb likewise
     for q, (a, b) in enumerate(pairs):
@@ -227,13 +228,10 @@ def pair_relations(P: Poset, pairs: Sequence):
             if (P.up[a] >> b) & 1:
                 above[a] |= qb
                 below[b] |= qa
-    arcs, mutual, legs = [], [], []
-    for p, (a, b) in enumerate(pairs):
-        arcs.append(above[a] & ~(1 << p))
-        mutual.append(arcs[p] & below[b])
-        shared = bya[a] | bya.get(b, 0) | byb.get(a, 0) | byb[b]
-        legs.append(mutual[p] & ~shared)
-    return arcs, mutual, legs
+    sabove = {a: row & ~byb.get(a, 0) for a, row in above.items()}
+    sbelow = {b: row & ~bya.get(b, 0) for b, row in below.items()}
+    return ([above[a] for a, _ in pairs], [below[b] for _, b in pairs],
+            [sabove[a] for a, _ in pairs], [sbelow[b] for _, b in pairs])
 
 
 def pair_digraph(P: Poset, pairs: Sequence) -> list:
@@ -264,12 +262,12 @@ def _adds_cycle(M, members: int, p: int) -> bool:
     return False
 
 
-def _heaviest_reversible(M, mutual, weights: Sequence[int],
+def _heaviest_reversible(M, below, weights: Sequence[int],
                          limit: Optional[int] = None):
     """Heaviest reversible pair set: a maximum-weight vertex set of the pair
     digraph M whose induced subgraph is acyclic.
 
-    weights are non-negative integers and mutual the mutual-arc rows of M.
+    weights are non-negative integers, M[p] & below[p] the mutual row of p.
     Branch and bound on an explicit stack: the positive-weight pairs are
     decided heaviest first (lowest index among ties), each included before
     it is excluded and included only while it closes no cycle. A node
@@ -287,10 +285,10 @@ def _heaviest_reversible(M, mutual, weights: Sequence[int],
                    key=lambda p: (-weights[p], p))
     k = len(order)
     rest = [0] * (k + 1)        # rest[i]: the weight of order[i:]
-    ahead = [0] * (k + 1)       # ahead[i]: the pairs order[i:]
+    rank = [0] * len(weights)   # rank[p]: p's place in order
     for i in range(k - 1, -1, -1):
         rest[i] = rest[i + 1] + weights[order[i]]
-        ahead[i] = ahead[i + 1] | 1 << order[i]
+        rank[order[i]] = i
     best, best_set, nodes = 0, 0, 0
     # (pairs decided, members, weight, blocked, undecided weight in blocked)
     stack = [(0, 0, 0, 0, 0)]
@@ -314,10 +312,11 @@ def _heaviest_reversible(M, mutual, weights: Sequence[int],
         p = order[i]
         stack.append((i + 1, members, w, blocked, lost))
         if not _adds_cycle(M, members, p):
-            fresh = mutual[p] & ahead[i + 1] & ~blocked
+            row = M[p] & below[p]
             stack.append((i + 1, members | 1 << p, w + weights[p],
-                          blocked | mutual[p],
-                          lost + sum(weights[q] for q in _bits(fresh))))
+                          blocked | row,
+                          lost + sum(weights[q] for q in _bits(row & ~blocked)
+                                     if rank[q] > i)))
     return best, best_set, nodes
 
 
@@ -493,13 +492,14 @@ def max_weight_reversal(P: Poset, pairs: Sequence, weights: Sequence[Fraction],
 # ---------------------------------------------------------------------------
 # standard examples
 
-def _clique(rows: Sequence[int], k: int, size: Optional[int] = None):
+def _clique(first: Sequence[int], second: Sequence[int], k: int,
+            size: Optional[int] = None):
     """Lowest-vertex-first branch and bound for cliques of a graph on 0..k-1,
     on an explicit stack, so a clique may be deeper than the recursion limit.
 
-    rows[v] is the adjacency bitmask of v. Returns the lexicographically
-    first clique of maximum size, or, when `size` is given, the first clique
-    with `size` vertices (None when there is none), as a sorted list.
+    first[v] & second[v] is the adjacency bitmask of v. Returns the
+    lexicographically first clique of maximum size, or, when `size` is
+    given, the first one with `size` vertices (None if none), sorted.
     """
     pick, best = [], []
     # one frame per open level, the mask of its candidates not tried yet;
@@ -519,11 +519,12 @@ def _clique(rows: Sequence[int], k: int, size: Optional[int] = None):
         # take the lowest candidate q; every bit at or below q has left the
         # frame, so the child's candidates are its neighbours still in it
         frame = stack[-1]
-        q = (frame & -frame).bit_length() - 1
-        frame ^= 1 << q
+        low = frame & -frame
+        q = low.bit_length() - 1
+        frame ^= low
         stack[-1] = frame
         pick.append(q)
-        stack.append(rows[q] & frame)
+        stack.append(first[q] & second[q] & frame)
 
 
 def find_standard_example(P: Poset, t: int):
@@ -536,8 +537,8 @@ def find_standard_example(P: Poset, t: int):
     """
     if t < 2:
         raise ParamRange("standard examples need t >= 2")
-    pairs, _, _, legs = P.pair_data
-    pick = _clique(legs, len(pairs), t)
+    pairs, _, _, sarcs, sbelow = P.pair_data
+    pick = _clique(sarcs, sbelow, len(pairs), t)
     if pick is None:
         return None
     mins = tuple(pairs[i][0] for i in pick)
@@ -547,6 +548,6 @@ def find_standard_example(P: Poset, t: int):
 
 def standard_example_number(P: Poset) -> int:
     """Largest t >= 2 with a standard example of size t induced in P, else 1."""
-    pairs, _, _, legs = P.pair_data
-    best = len(_clique(legs, len(pairs)))
+    pairs, _, _, sarcs, sbelow = P.pair_data
+    best = len(_clique(sarcs, sbelow, len(pairs)))
     return best if best >= 2 else 1

@@ -55,12 +55,13 @@ def _indices(seq) -> tuple:
 # bound, and a family's masks `ground` bits each. Reading a poset is one
 # topological pass with one row OR per listed pair: a 16,384-element chain
 # loads in 0.15 s, and `ordim compute --only dim,se,fdim` on it takes 0.45 s
-# (2-vCPU Xeon VM, Python 3.11). Still unbounded: a wide poset within the
-# bound builds its pair digraph (`Poset.pair_data`), t^2 bits for t critical
-# pairs, before any node budget is counted. A distinguishing sequence's
-# masks take up to (number of sets) * t bits, and one mark near t makes a
-# t-bit mask: ordim's own sequences reach 229,362 bits
-# (pkn_fractional_certificate at n = 14, t = 2^14 - 1) and
+# (2-vCPU Xeon VM, Python 3.11). Still unbounded: before any node budget
+# counts, a poset builds its pair relations (`Poset.pair_data`), n rows of
+# t bits for t critical pairs, and the clique search does t-bit ANDs per
+# pick: a 400-element antichain (t = 159,600) takes 77 MB and 9 s, 7 in the
+# clique search. A distinguishing sequence's masks take up to (number of
+# sets) * t bits, and one mark near t makes a t-bit mask: ordim's own reach
+# 229,362 bits (pkn_fractional_certificate at n = 14, t = 2^14 - 1) and
 # randomized_distinguishing 1,760 on pkn(1,32).
 MAX_ELEMENTS = 1 << 14
 MAX_MARK_BITS = 1 << 24

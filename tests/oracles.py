@@ -293,12 +293,12 @@ def dm_dimension_unpruned(P):
     The reference for `dm_dimension`, whose pruning may cut only subtrees
     without a complete cover, so both must find the same first cover.
     """
-    pairs, M, conflicts, _ = P.pair_data
+    pairs, M, below, _, _ = P.pair_data
     if not pairs:
         return 1, Realizer((extend_reversing(P, []),)), 0
     t = len(pairs)
-    clique = len(_clique(conflicts, t))
-    order = sorted(range(t), key=lambda p: (-conflicts[p].bit_count(), p))
+    clique = len(_clique(M, below, t))
+    order = sorted(range(t), key=lambda p: (-(M[p] & below[p]).bit_count(), p))
     nodes = 0
     for ncolors in range(max(2, clique), t + 1):
         classes = [0] * ncolors

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -728,6 +729,21 @@ def test_analyze_computes_pair_data_once(monkeypatch):
     counting("pair_relations")
     assert analyze(pkn(1, 5)).dim == 3
     assert calls == {"critical_pairs": 1, "pair_relations": 1}
+
+
+def test_pair_layer_memory_grows_with_elements_not_pairs():
+    # a 120-element antichain has t = 14,280 critical pairs: one t-bit row
+    # per pair would take 25 MB per relation, while rows shared by element
+    # take 0.2 MB each; the search stops at its first budget node
+    P = antichain(120)
+    tracemalloc.start()
+    try:
+        rep = analyze(P, ["dim"], budget=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.dim is None
+    assert peak < 16 * 2**20
 
 
 def test_analyze_poset_matches_separate_solvers():

@@ -207,6 +207,20 @@ def test_critical_pairs_match_definition_on_enumerated_geometries():
         assert critical_pairs(G.poset) == critical_pairs_by_definition(G.poset)
 
 
+def pair_rows_by_definition(P, pairs, rel):
+    """Oracle: first[p] holds q iff rel(a_p, b_q), second[p] iff
+    rel(a_q, b_p), by a scan over all pairs of pairs."""
+    t = len(pairs)
+    first, second = [0] * t, [0] * t
+    for p, (ap, bp) in enumerate(pairs):
+        for q, (aq, bq) in enumerate(pairs):
+            if rel(ap, bq):
+                first[p] |= 1 << q
+            if rel(aq, bp):
+                second[p] |= 1 << q
+    return first, second
+
+
 def pair_relations_by_definition(P, pairs):
     """Oracle: the arcs, mutual arcs and standard-example legs among the
     pairs, each by its own scan over all pairs of pairs."""
@@ -242,11 +256,19 @@ def test_pair_relations_match_definition(P, data):
     inc = incomparable_pairs(P)
     repeated = data.draw(st.permutations(inc + inc[::2]))
     for pairs in (crit, inc, repeated):
-        want = pair_relations_by_definition(P, pairs)
-        assert pair_relations(P, pairs) == want
-        assert pair_digraph(P, pairs) == want[0]
-    want = map(tuple, pair_relations_by_definition(P, crit))
+        arcs, mutual, legs = pair_relations_by_definition(P, pairs)
+        rows = pair_relations(P, pairs)
+        assert rows == (*pair_rows_by_definition(P, pairs, P.leq),
+                        *pair_rows_by_definition(P, pairs, P.lt))
+        first, below, sarcs, sbelow = rows
+        assert first == arcs and pair_digraph(P, pairs) == arcs
+        assert [x & y for x, y in zip(first, below)] == mutual
+        assert [x & y for x, y in zip(sarcs, sbelow)] == legs
+        # pairs with the same element share its row object
+        assert all(len(set(map(id, row))) <= P.n for row in rows)
+    want = map(tuple, pair_relations(P, crit))
     assert P.pair_data == (tuple(crit), *want)
+    assert all(len(set(map(id, row))) <= P.n for row in P.pair_data[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +405,8 @@ def test_heaviest_reversible_matches_dp_and_bruteforce(case):
     P, pairs, weights = case
     scale = math.lcm(*(w.denominator for w in weights))
     ints = [w.numerator * (scale // w.denominator) for w in weights]
-    M, mutual, _ = pair_relations(P, pairs)
-    value, members, nodes = _heaviest_reversible(M, mutual, ints)
+    M, below, _, _ = pair_relations(P, pairs)
+    value, members, nodes = _heaviest_reversible(M, below, ints)
     best = Fraction(value, scale)
     dp, _ = max_weight_reversal(P, pairs, weights, downset_lattice(P))
     brute = max(reversed_weight(pairs, weights, ext) for ext in linear_extensions(P))
@@ -396,7 +418,7 @@ def test_heaviest_reversible_matches_dp_and_bruteforce(case):
     assert reversed_weight(pairs, weights, ext) >= best
     # a search cut short bounds the optimum from above
     for limit in ({0, nodes // 2, nodes - 1} if nodes else ()):
-        bound, cut, used = _heaviest_reversible(M, mutual, ints, limit)
+        bound, cut, used = _heaviest_reversible(M, below, ints, limit)
         assert cut is None and used == limit and bound >= value
 
 
@@ -561,13 +583,20 @@ def test_clique_matches_bruteforce():
             if rng.random() < density:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
+        # the adjacency is the AND of two rows, each with extra bits the
+        # other lacks
+        odd = sum(1 << v for v in range(1, k, 2))
+        even = (1 << k) - 1 & ~odd
+        first = [row | odd for row in rows]
+        second = [row | even for row in rows]
         cliques = brute_cliques(rows, k)
         largest = len(cliques[-1])
-        assert _clique(rows, k) == list(min(c for c in cliques if len(c) == largest))
+        assert (_clique(first, second, k)
+                == list(min(c for c in cliques if len(c) == largest)))
         for size in range(largest + 1):
-            first = min(c for c in cliques if len(c) == size)
-            assert _clique(rows, k, size) == list(first)
-        assert _clique(rows, k, largest + 1) is None
+            want = min(c for c in cliques if len(c) == size)
+            assert _clique(first, second, k, size) == list(want)
+        assert _clique(first, second, k, largest + 1) is None
 
 
 def test_standard_example_deeper_than_recursion_limit(fresh_python):
